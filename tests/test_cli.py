@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -187,6 +188,40 @@ def test_classicize_summary_reports_phase_spread(tmp_path):
     assert math.isclose(
         summary["summary"]["phase_spread"], math.pi * 0.6, rel_tol=1e-9
     )
+
+
+# Output bytes pinned by SHA-256, so a storage or evaluation-order change in the
+# operators cannot move a single digit of what these scenarios write.
+PINNED_OUTPUTS = [
+    (
+        ["bell", "--mode", "audited", "--n-configs", "4", "--n-branches", "2", "--seed", "11"],
+        {
+            "summary.json": "dd11a2029951e0822632ec64b0ee3b08093720e8b4c0f9d8e81ae4cb903b18db",
+            "bell_bounds.csv": "9147a94e3bcf1f5bd115b33e92ff6042878cc005f78124ee8f7675817bc75a1b",
+        },
+    ),
+    (
+        ["bell", "--mode", "audited", "--n-configs", "4", "--n-branches", "3", "--seed", "11"],
+        {
+            "summary.json": "cfdcb9a398500a35f3a0ced3b4e4a5e50ae6a020e00191e3ed4b7d6096be6d04",
+            "bell_bounds.csv": "80a06a343334b502149039a76729b83eaeb86aa54979481adfe0fa5ecda75679",
+        },
+    ),
+    (
+        ["wavepacket-check"],
+        {
+            "summary.json": "544352e7ee86d22a5d4fe5b78091caf75748ec44852fb92b37d92bb35a34b7fc",
+            "wavepacket-check_state.csv": "e4856b166d66baf11814eab5b42879662a2c423d1d38505a66528f43d6c38622",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digests", PINNED_OUTPUTS, ids=["bell-2", "bell-3", "wavepacket"])
+def test_output_bytes_pinned(tmp_path, argv, digests):
+    out, _ = do_run(tmp_path, argv)
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert written == digests
 
 
 # -------------------------------------------------------------- exit codes
