@@ -1,11 +1,11 @@
 """Physical constants used throughout the package.
 
-All SI values come from the CODATA 2018 adjustment and are frozen here in a
-versioned table so that emitted provenance records pin the exact numbers a
-run used.  The textbook scenarios can also be driven with the round
-order-of-magnitude values quoted in the literature (mu_B ~ 1e-23 J/T,
-m ~ 1e-25 kg); those live in PAPER_ROUND and are switched on by the CLI flag
---paper-constants.
+All SI values come from the CODATA 2018 adjustment and are frozen here under
+the CONSTANTS_VERSION tag, which emitted provenance records echo to pin the
+exact numbers a run used.  The textbook scenarios can also be driven with
+the round order-of-magnitude values quoted in the literature (mu_B ~ 1e-23
+J/T, m ~ 1e-25 kg); those live in PAPER_ROUND and are switched on by the CLI
+flag --paper-constants.
 """
 
 from __future__ import annotations
@@ -27,11 +27,3 @@ PAPER_ROUND = {
 MASS_SILVER = 1.79e-25  # kg
 # Rubidium-87, the classic condensation test mass.
 MASS_RB87 = 1.443e-25  # kg
-
-CODATA_TABLE = {
-    "version": CONSTANTS_VERSION,
-    "hbar": HBAR,
-    "h": PLANCK_H,
-    "k_b": K_B,
-    "mu_b": MU_B,
-}

@@ -8,8 +8,10 @@ one-parameter unitary family
 which follows from idempotency of P.  W_eps multiplies the component of any
 vector along |psi> by a phase e^{i eps} and leaves the orthogonal complement
 untouched; it is the elementary move behind every collapse model in this
-package.  Everything here is dense and desk-scale (dimensions up to a few
-thousand); states and operators are immutable once built.
+package.  Everything here is desk-scale (dimensions up to a few thousand) and
+immutable once built.  Operators are dense matrices, except that an operator
+diagonal in the basis (any function of grid position) is stored as the
+vector of its diagonal; OperatorMatrix.apply hides which.
 """
 
 from __future__ import annotations
@@ -69,11 +71,13 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """A dense square operator with verified structural claims.
+    """A square operator with verified structural claims.
 
-    The hermitian/unitary flags are promises checked at construction time:
-    a flag set to True on a matrix that fails the corresponding identity is
-    rejected rather than silently trusted.
+    entries is the dense n x n matrix or, for an operator diagonal in the
+    basis, the 1-d array of its n diagonal values.  The hermitian/unitary
+    flags are promises checked at construction time: a flag set to True on
+    a matrix that fails the corresponding identity is rejected rather than
+    silently trusted.
     """
 
     entries: np.ndarray
@@ -83,12 +87,15 @@ class OperatorMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise DimensionMismatch(f"operator must be square, got shape {m.shape}")
-        if self.hermitian and np.max(np.abs(m - m.conj().T)) >= ALG_TOL:
+        diagonal = m.ndim == 1
+        if m.size == 0 or not (diagonal or (m.ndim == 2 and m.shape[0] == m.shape[1])):
+            raise DimensionMismatch(f"operator must be square or diagonal, got shape {m.shape}")
+        adjoint = m.conj() if diagonal else m.conj().T
+        if self.hermitian and np.max(np.abs(m - adjoint)) >= ALG_TOL:
             raise NonHermitian("hermitian flag set but M != M^dagger")
         if self.unitary:
-            drift = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+            defect = np.abs(m) ** 2 - 1.0 if diagonal else adjoint @ m - np.eye(m.shape[0])
+            drift = np.max(np.abs(defect))
             if drift >= NORM_TOL:
                 raise ValueError(f"unitary flag set but |M^dag M - 1| = {drift:g}")
         object.__setattr__(self, "entries", _frozen(m))
@@ -96,6 +103,10 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """M v; for diagonal storage the elementwise product, bit-identical to the dense matvec."""
+        return self.entries * v if self.entries.ndim == 1 else self.entries @ v
 
 
 @dataclass(frozen=True)
@@ -185,7 +196,7 @@ def expectation(op: OperatorMatrix, psi: StateVector) -> complex:
     """<psi|M|psi>; real part only when the operator is flagged Hermitian."""
     if op.dim != psi.dim:
         raise DimensionMismatch(f"dims {op.dim} and {psi.dim} differ")
-    val = complex(np.vdot(psi.amplitudes, op.entries @ psi.amplitudes))
+    val = complex(np.vdot(psi.amplitudes, op.apply(psi.amplitudes)))
     return val.real if op.hermitian else val
 
 
@@ -200,7 +211,7 @@ def expectation_and_deviation(op: OperatorMatrix, psi: StateVector) -> tuple[flo
         raise NonHermitianDeviation("deviation is defined for Hermitian operators only")
     if op.dim != psi.dim:
         raise DimensionMismatch(f"dims {op.dim} and {psi.dim} differ")
-    a_psi = op.entries @ psi.amplitudes
+    a_psi = op.apply(psi.amplitudes)
     mean = float(np.vdot(psi.amplitudes, a_psi).real)
     second = float(np.vdot(a_psi, a_psi).real)  # <A^2> via |A psi|^2, exact for Hermitian A
     variance = second - mean * mean
@@ -233,41 +244,3 @@ def gauss_decompose(psi: StateVector) -> GaussDecomposition:
         raising=tuple(raising),
         lowering=tuple(lowering),
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON plumbing: matrices and states as row-major [re, im] pairs.
-
-
-def matrix_to_jsonable(op: OperatorMatrix) -> dict:
-    pairs = [[[float(v.real), float(v.imag)] for v in row] for row in op.entries]
-    return {
-        "entries": pairs,
-        "units": op.units,
-        "hermitian": op.hermitian,
-        "unitary": op.unitary,
-    }
-
-
-def matrix_from_jsonable(data: dict) -> OperatorMatrix:
-    entries = np.array(
-        [[complex(re, im) for re, im in row] for row in data["entries"]], dtype=complex
-    )
-    return OperatorMatrix(
-        entries,
-        units=data.get("units", ""),
-        hermitian=bool(data.get("hermitian", False)),
-        unitary=bool(data.get("unitary", False)),
-    )
-
-
-def state_to_jsonable(psi: StateVector) -> dict:
-    return {
-        "amplitudes": [[float(v.real), float(v.imag)] for v in psi.amplitudes],
-        "basis_label": psi.basis_label,
-    }
-
-
-def state_from_jsonable(data: dict) -> StateVector:
-    amps = np.array([complex(re, im) for re, im in data["amplitudes"]], dtype=complex)
-    return StateVector(amps, data.get("basis_label", ""))

@@ -342,7 +342,7 @@ def _assemble(
         if not isinstance(branch.sub2, GaussianPacket):
             raise DimensionMismatch("residual needs GaussianPacket pointer branches")
         v_n = float(
-            np.vdot(branch.sub1.amplitudes, ham.v1.entries @ branch.sub1.amplitudes).real
+            np.vdot(branch.sub1.amplitudes, ham.v1.apply(branch.sub1.amplitudes)).real
         )
         packet = branch_evolve(ham, v_n, branch.sub2, t, spreading=spreading)
         u = discretize_gaussian(grid, packet).amplitudes
@@ -407,47 +407,3 @@ def schrodinger_residual(
         grid,
         relative=relative,
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON plumbing.
-
-
-def _factor_to_jsonable(f) -> dict:
-    if isinstance(f, GaussianPacket):
-        return {"kind": "packet", "x0": f.x0, "p0": f.p0, "sigma_x": f.sigma_x, "mass": f.mass}
-    from .hilbert import state_to_jsonable
-
-    return {"kind": "state", **state_to_jsonable(f)}
-
-
-def _factor_from_jsonable(data: dict):
-    if data["kind"] == "packet":
-        return GaussianPacket(data["x0"], data["p0"], data["sigma_x"], data["mass"])
-    from .hilbert import state_from_jsonable
-
-    return state_from_jsonable(data)
-
-
-def correlated_to_jsonable(state: CorrelatedState) -> dict:
-    return {
-        "orthonormal_labels": state.orthonormal_labels,
-        "branches": [
-            {
-                "coefficient": [float(b.coefficient.real), float(b.coefficient.imag)],
-                "factors": [_factor_to_jsonable(f) for f in b.factors],
-            }
-            for b in state.branches
-        ],
-    }
-
-
-def correlated_from_jsonable(data: dict) -> CorrelatedState:
-    branches = tuple(
-        Branch(
-            complex(b["coefficient"][0], b["coefficient"][1]),
-            tuple(_factor_from_jsonable(f) for f in b["factors"]),
-        )
-        for b in data["branches"]
-    )
-    return CorrelatedState(branches, orthonormal_labels=bool(data.get("orthonormal_labels", True)))

@@ -9,8 +9,9 @@ Both conditions are quantified here with explicit, overridable thresholds.
 Discretized packets use the convention that StateVector amplitudes carry the
 sqrt(dx) quadrature weight: c_k = psi(x_k) sqrt(dx), so sum |c_k|^2 = 1 and
 sum |psi_k|^2 dx = 1 simultaneously.  Operators built from functions of
-position are plain diagonal matrices in this convention; the momentum
-operator is spectral (unitary DFT conjugation of hbar k).
+position are diagonal in this convention and are stored as the vector of
+their values on the grid; momentum moments are computed spectrally (unitary
+DFT to the hbar k basis) without forming a matrix.
 """
 
 from __future__ import annotations
@@ -175,28 +176,16 @@ def discretize_gaussian(grid: Grid1D, packet: GaussianPacket) -> StateVector:
 
 
 def position_operator(grid: Grid1D) -> OperatorMatrix:
-    return OperatorMatrix(np.diag(grid.xs.astype(complex)), units="m", hermitian=True)
+    return OperatorMatrix(grid.xs, units="m", hermitian=True)
 
 
 def potential_operator(grid: Grid1D, f: Callable[[np.ndarray], np.ndarray], units: str = "") -> OperatorMatrix:
     """Diagonal operator for a real function of position."""
-    values = np.asarray(f(grid.xs), dtype=float)
-    return OperatorMatrix(np.diag(values.astype(complex)), units=units, hermitian=True)
+    return OperatorMatrix(np.asarray(f(grid.xs), dtype=float), units=units, hermitian=True)
 
 
 def _angular_wavenumbers(grid: Grid1D) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
-
-
-def momentum_operator(grid: Grid1D) -> OperatorMatrix:
-    """Spectral momentum matrix P = F^dag diag(hbar k) F (F the unitary DFT)."""
-    n = grid.n_points
-    j = np.arange(n)
-    f = np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
-    k = _angular_wavenumbers(grid)
-    p = f.conj().T @ (HBAR * k[:, None] * f)
-    p = 0.5 * (p + p.conj().T)  # strip rounding asymmetry, operator is Hermitian by construction
-    return OperatorMatrix(p, units="kg m/s", hermitian=True)
 
 
 def momentum_mean_and_dev(grid: Grid1D, psi: StateVector) -> tuple[float, float]:
@@ -256,7 +245,7 @@ def check_a2(
     threshold = 0.5 * (devs[:, None] + devs[None, :])
     offdiag = np.zeros((n, n))
     for i in range(n):
-        a_si = op.entries @ states[i].amplitudes
+        a_si = op.apply(states[i].amplitudes)
         for j in range(i + 1, n):
             offdiag[i, j] = offdiag[j, i] = abs(np.vdot(states[j].amplitudes, a_si))
     scale = np.maximum(np.abs(means)[:, None], np.abs(means)[None, :])

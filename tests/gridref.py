@@ -64,6 +64,18 @@ def grid_momentum_moments(
     return mean, np.sqrt(max(second - mean**2, 0.0))
 
 
+def dense_momentum_matrix(n_points: int, dx: float) -> np.ndarray:
+    """Momentum as an explicit matrix F^dag diag(hbar k) F, F the unitary DFT matrix.
+
+    O(n^3) and only meant for small grids, as an oracle for spectral moments.
+    """
+    j = np.arange(n_points)
+    f = np.exp(-2j * np.pi * np.outer(j, j) / n_points) / np.sqrt(n_points)
+    k = wavenumbers(n_points, dx)
+    p = f.conj().T @ (HBAR_REF * k[:, None] * f)
+    return 0.5 * (p + p.conj().T)  # strip rounding asymmetry; Hermitian by construction
+
+
 def partial_trace_second(joint: np.ndarray, dim1: int, dim2: int) -> np.ndarray:
     """rho_1 = Tr_2 |Psi><Psi| for a flat kron-ordered joint vector."""
     m = np.asarray(joint, dtype=complex).reshape(dim1, dim2)

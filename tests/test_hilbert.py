@@ -7,7 +7,7 @@ checked against these, never against themselves.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 
 import numpy as np
@@ -34,13 +34,10 @@ from decolab.hilbert import (
     expectation_and_deviation,
     gauss_decompose,
     make_state,
-    matrix_from_jsonable,
-    matrix_to_jsonable,
     projector,
-    state_from_jsonable,
-    state_to_jsonable,
     tensor,
 )
+from decolab.wavepacket import check_a1, check_a2
 
 SERIES_TERMS = 60
 SERIES_TOL = 1e-12
@@ -114,6 +111,14 @@ def test_operator_matrix_flag_guards():
         OperatorMatrix(np.array([[2, 0], [0, 1]], dtype=complex), unitary=True)
     with pytest.raises(DimensionMismatch):
         OperatorMatrix(np.zeros((2, 3), dtype=complex))
+    # 1-d entries are the diagonal and carry the same promises
+    with pytest.raises(NonHermitian):
+        OperatorMatrix(np.array([1.0, 1.0j]), hermitian=True)
+    with pytest.raises(ValueError):
+        OperatorMatrix(np.array([1.0, 2.0]), unitary=True)
+    with pytest.raises(DimensionMismatch):
+        OperatorMatrix(np.array([], dtype=complex))
+    assert OperatorMatrix(np.exp(1j * np.array([0.3, 2.0])), unitary=True).dim == 2
 
 
 # ------------------------------------------------------------- projectors
@@ -272,6 +277,28 @@ def test_deviation_requires_hermitian_flag():
         expectation_and_deviation(op, psi)
 
 
+@seed(15)
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(min_value=2, max_value=MAX_DIM),
+    exponent=st.integers(min_value=-30, max_value=30),
+    key=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_diagonal_storage_is_bit_identical_to_dense(dim, exponent, key):
+    rng = np.random.default_rng(key)
+    values = rng.normal(size=dim) * 10.0**exponent
+    diag = OperatorMatrix(values, hermitian=True)
+    dense = OperatorMatrix(np.diag(values.astype(complex)), hermitian=True)
+    states = [random_state(rng, dim) for _ in range(3)]
+    for psi in states:
+        assert expectation(diag, psi) == expectation(dense, psi)
+        assert expectation_and_deviation(diag, psi) == expectation_and_deviation(dense, psi)
+        assert check_a1(psi, diag) == check_a1(psi, dense)
+    report_diag, report_dense = check_a2(states, diag), check_a2(states, dense)
+    for f in dataclasses.fields(report_dense):
+        assert np.array_equal(getattr(report_diag, f.name), getattr(report_dense, f.name))
+
+
 # ----------------------------------------------------------------- tensors
 
 
@@ -299,26 +326,6 @@ def test_tensor_norm_and_overlap_factorize(da, db, key):
     lhs = tensor(a1, b1).overlap(tensor(a2, b2))
     rhs = a1.overlap(a2) * b1.overlap(b2)
     assert abs(lhs - rhs) < 1e-12
-
-
-# ------------------------------------------------------------- round trips
-
-
-def test_state_json_round_trip_is_exact():
-    psi = make_state([3.0, 4.0j, -1.0 + 0.25j])
-    blob = json.dumps(state_to_jsonable(psi))
-    back = state_from_jsonable(json.loads(blob))
-    assert np.array_equal(back.amplitudes, psi.amplitudes)
-    assert back.basis_label == psi.basis_label
-
-
-def test_matrix_json_round_trip_is_exact():
-    op = exp_projector(make_state([1.0, 2.0j, 3.0]), 0.37)
-    blob = json.dumps(matrix_to_jsonable(op))
-    back = matrix_from_jsonable(json.loads(blob))
-    assert np.array_equal(back.entries, op.entries)
-    assert back.unitary == op.unitary
-    assert back.hermitian == op.hermitian
 
 
 # ------------------------------------------------------------- properties

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from decolab.collapse import split_seed
 from decolab.errors import ConditionViolated
-from decolab.hilbert import OperatorMatrix, make_state
+from decolab.hilbert import OperatorMatrix, expectation, make_state
 from decolab.scenarios.bell import (
     TSIRELSON,
     audited_configuration,
@@ -150,7 +150,7 @@ def test_audited_branch_means_are_dichotomic():
     for branch in state.branches:
         for op, factor_index in ((obs[0], 0), (obs[1], 1)):
             factor = branch.factors[factor_index]
-            mean = np.real(np.vdot(factor.amplitudes, op.entries @ factor.amplitudes))
+            mean = expectation(op, factor)
             assert abs(abs(mean) - 1.0) < 1e-12
 
 

@@ -39,8 +39,6 @@ from decolab.supersystem import (
     CorrelatedState,
     InteractionHamiltonian,
     branch_evolve,
-    correlated_from_jsonable,
-    correlated_to_jsonable,
     decay_mixture,
     hamiltonian_apply,
     residual_from_family,
@@ -418,26 +416,3 @@ def test_hamiltonian_apply_is_hermitian_on_the_grid():
     lhs = np.vdot(a, hamiltonian_apply(ham, b, grid))
     rhs = np.vdot(hamiltonian_apply(ham, a, grid), b)
     assert abs(lhs - rhs) < 1e-12 * abs(lhs)
-
-
-# ---------------------------------------------------------------- round trip
-
-
-def test_correlated_json_round_trip_state_factors():
-    state = env_state((math.sqrt(0.8), math.sqrt(0.2)), dim=2)
-    back = correlated_from_jsonable(correlated_to_jsonable(state))
-    assert np.max(np.abs(to_product_vector(back) - to_product_vector(state))) < 1e-15
-
-
-def test_correlated_json_round_trip_packet_factors():
-    packet = GaussianPacket(1e-9, 2e-27, 1e-9, 1.79e-25)
-    state = CorrelatedState(
-        branches=(
-            Branch(math.sqrt(0.5), (make_state([1.0, 0.0]), packet)),
-            Branch(math.sqrt(0.5), (make_state([0.0, 1.0]), packet)),
-        )
-    )
-    back = correlated_from_jsonable(correlated_to_jsonable(state))
-    restored = back.branches[0].factors[1]
-    assert isinstance(restored, GaussianPacket)
-    assert restored == packet

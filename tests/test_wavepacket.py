@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from gridref import grid_moments, grid_momentum_moments
+from gridref import dense_momentum_matrix, grid_moments, grid_momentum_moments
 from decolab.constants import HBAR
 from decolab.errors import DerivativeUndefined, PacketOutsideGrid
 from decolab.hilbert import OperatorMatrix, StateVector, make_state
@@ -28,7 +28,6 @@ from decolab.wavepacket import (
     discretize_gaussian,
     grid_state_rows,
     momentum_mean_and_dev,
-    momentum_operator,
     packet_overlap,
     position_operator,
     potential_operator,
@@ -186,7 +185,6 @@ def test_packet_overlap_bounded_by_one(d_sig, q_sig, width_ratio):
 
 def test_operator_builders_set_flags():
     assert position_operator(REF_GRID).hermitian
-    assert momentum_operator(Grid1D(0.0, 1e-6, 64)).hermitian
     v = potential_operator(REF_GRID, lambda x: x**2, units="J")
     assert v.hermitian and v.units == "J"
 
@@ -197,7 +195,8 @@ def test_dense_momentum_matches_fft_route():
     psi = discretize_gaussian(grid, packet)
     from decolab.hilbert import expectation_and_deviation
 
-    mean_d, dev_d = expectation_and_deviation(momentum_operator(grid), psi)
+    dense = OperatorMatrix(dense_momentum_matrix(grid.n_points, grid.dx), hermitian=True)
+    mean_d, dev_d = expectation_and_deviation(dense, psi)
     mean_f, dev_f = momentum_mean_and_dev(grid, psi)
     assert math.isclose(mean_d, mean_f, rel_tol=1e-10)
     assert math.isclose(dev_d, dev_f, rel_tol=1e-10)
