@@ -214,10 +214,29 @@ PINNED_OUTPUTS = [
             "wavepacket-check_state.csv": "e4856b166d66baf11814eab5b42879662a2c423d1d38505a66528f43d6c38622",
         },
     ),
+    (
+        ["sterngerlach", "--c-minus", "0.6", "--c-plus", "0.8j", "--n-steps", "400",
+         "--n-trials", "500", "--seed", "3"],
+        {
+            "summary.json": "bc981736160abaec4d5722d392776d5b64ac7b614c0ef2071223c4e2ff81ec58",
+            "sterngerlach_order_parameter.csv": "94b46adcd2e72db960cba54534460bd6bec8cbab65cee73cb32fc1993925b3bc",
+        },
+    ),
+    (
+        ["sterngerlach", "--t-max", "5e-8", "--n-steps", "100", "--seed", "3"],
+        {
+            "summary.json": "84425f749e80c36f171e8ca96d84b683f66fd0b14feb31defb02ece11bcc6729",
+            "sterngerlach_order_parameter.csv": "6d5a7355d4126300b3f0a14d279948407d77617ac1629890ef89c96ed993e28a",
+        },
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv,digests", PINNED_OUTPUTS, ids=["bell-2", "bell-3", "wavepacket"])
+@pytest.mark.parametrize(
+    "argv,digests",
+    PINNED_OUTPUTS,
+    ids=["bell-2", "bell-3", "wavepacket", "sg-collapse", "sg-pre-tau"],
+)
 def test_output_bytes_pinned(tmp_path, argv, digests):
     out, _ = do_run(tmp_path, argv)
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
