@@ -101,14 +101,15 @@ def _first_crossing(times: np.ndarray, diff: np.ndarray) -> float | None:
 
 
 def order_parameter_trace(
-    branches: Sequence[Callable[[float], GaussianPacket]],
+    branches: Sequence[Callable[[np.ndarray], GaussianPacket]],
     observable: str,
     times: Sequence[float],
 ) -> OrderParameterTrace:
     """Evaluate gap and critical series for every pair of branch trajectories.
 
-    Each branch is a map t -> GaussianPacket; times must be strictly
-    increasing starting at 0.
+    Each branch maps the whole time array to one GaussianPacket whose moments
+    are arrays over it (a constant moment may stay a scalar); times must be
+    strictly increasing starting at 0.
     """
     t = np.asarray(times, dtype=float)
     if t.size == 0:
@@ -121,8 +122,7 @@ def order_parameter_trace(
     means = np.zeros((n, t.size))
     devs = np.zeros((n, t.size))
     for b, branch in enumerate(branches):
-        for k, tk in enumerate(t):
-            means[b, k], devs[b, k] = _moments(branch(float(tk)), observable)
+        means[b], devs[b] = _moments(branch(t), observable)
     pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     gap = np.zeros((len(pairs), t.size))
     critical = np.zeros((len(pairs), t.size))
@@ -248,13 +248,10 @@ def trace_table(trace: OrderParameterTrace) -> tuple[list[str], list[tuple]]:
         header = ["t"]
         for i, j in trace.pairs:
             header += [f"gap_{i}_{j}", f"critical_{i}_{j}"]
-    rows = []
-    for k, t in enumerate(trace.times):
-        row = [float(t)]
-        for p in range(len(trace.pairs)):
-            row += [float(trace.gap[p, k]), float(trace.critical[p, k])]
-        rows.append(tuple(row))
-    return header, rows
+    columns = [trace.times]
+    for p in range(len(trace.pairs)):
+        columns += [trace.gap[p], trace.critical[p]]
+    return header, list(zip(*(column.tolist() for column in columns)))
 
 
 def outcomes_to_jsonl(outcomes: Sequence[CollapseOutcome]) -> str:

@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..collapse import (
-    OrderParameterTrace,
-    classicize,
-    CollapsedProduct,
-    order_parameter_trace,
-    split_seed,
-)
+from ..collapse import OrderParameterTrace, order_parameter_trace, sample_collapse, split_seed
 from ..constants import MASS_SILVER, MU_B
 from ..errors import TMaxBeforeCritical
 from ..hilbert import OperatorMatrix, StateVector
@@ -106,7 +100,7 @@ def sg_correlated_state(config: SGConfig) -> CorrelatedState:
 
 
 def sg_branch_trajectories(config: SGConfig):
-    """Branch packet trajectories t -> GaussianPacket via the interaction."""
+    """Branch packet trajectories via the interaction: each maps a time array to one packet."""
     ham = sg_hamiltonian(config)
     packet = GaussianPacket(0.0, 0.0, config.sigma0, config.mass)
     eigenvalues = (config.mu_b, -config.mu_b)  # (minus, plus) branch order
@@ -148,10 +142,10 @@ def sg_run(config: SGConfig, n_trials: int, seed: int) -> SGRunResult:
             TMaxBeforeCritical,
         )
     else:
+        coefficients = StateVector(state.coefficients)
         counts = {label: 0 for label in BRANCH_LABELS}
         for i in range(n_trials):
-            outcome = classicize(state, trace, config.t_max, split_seed(seed, i))
-            assert isinstance(outcome, CollapsedProduct)
+            outcome = sample_collapse(coefficients, split_seed(seed, i))
             counts[BRANCH_LABELS[outcome.branch_index]] += 1
         frequencies = {label: counts[label] / n_trials for label in BRANCH_LABELS}
     return SGRunResult(

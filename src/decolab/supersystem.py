@@ -232,26 +232,34 @@ def branch_evolve(
     ham: InteractionHamiltonian,
     v_eigenvalue: float,
     initial: GaussianPacket,
-    t: float,
+    t,
     spreading: bool = False,
 ) -> GaussianPacket:
     """Closed-form branch packet at time t under the effective potential v V2.
 
-    The effective force is f = -v_eigenvalue * V2'(x); V2 must be affine over
-    the region the packet sweeps (checked, NonlinearPotential otherwise), so
-    the force is constant and the Ehrenfest trajectory is exact.
+    t is a time or an array of times; for an array the packet's moments are
+    arrays over it.  The effective force is f = -v_eigenvalue * V2'(x); V2
+    must be affine over the region the packet sweeps up to each sample time
+    (checked, NonlinearPotential otherwise), so the force is constant and the
+    Ehrenfest trajectory is exact.
     """
     value0, slope = _affine_slope(ham.v2, initial.x0, initial.sigma_x)
     force = -float(v_eigenvalue) * slope
     moved = initial.evolved(t, force=force, spreading=spreading)
-    # Verify affinity over everything the packet sweeps, with 6 sigma margin.
-    lo = min(initial.x0, moved.x0) - 6.0 * moved.sigma_x
-    hi = max(initial.x0, moved.x0) + 6.0 * moved.sigma_x
-    xs = np.linspace(lo, hi, 9)
-    values = np.asarray(ham.v2(xs), dtype=float)
-    affine = value0 + slope * (xs - initial.x0)
-    tolerance = 1e-9 * max(float(np.max(np.abs(values))), abs(slope) * (hi - lo), 1e-300)
-    if float(np.max(np.abs(values - affine))) > tolerance:
+    # Verify affinity over everything the packet sweeps, with 6 sigma margin:
+    # one window per sample time, each probed at the 9 points of
+    # np.linspace(lo, hi, 9), taken one point index at a time over all windows.
+    lo = np.atleast_1d(np.minimum(initial.x0, moved.x0) - 6.0 * moved.sigma_x)
+    hi = np.atleast_1d(np.maximum(initial.x0, moved.x0) + 6.0 * moved.sigma_x)
+    step = (hi - lo) / 8
+    peak = misfit = 0.0
+    for k in range(9):
+        xs = hi if k == 8 else k * step + lo
+        values = np.asarray(ham.v2(xs), dtype=float)
+        peak = np.maximum(peak, np.abs(values))
+        misfit = np.maximum(misfit, np.abs(values - (value0 + slope * (xs - initial.x0))))
+    tolerance = 1e-9 * np.maximum(np.maximum(peak, abs(slope) * (hi - lo)), 1e-300)
+    if np.any(misfit > tolerance):
         raise NonlinearPotential("V2 is not affine over the packet support")
     return moved
 

@@ -74,7 +74,7 @@ class GaussianPacket:
     mass: float
 
     def __post_init__(self):
-        if self.sigma_x <= 0:
+        if np.any(self.sigma_x <= 0):
             raise ValueError("sigma_x must be positive")
         if self.mass <= 0:
             raise ValueError("mass must be positive")
@@ -84,13 +84,15 @@ class GaussianPacket:
         """Momentum spread of the minimal packet, hbar / (2 sigma_x)."""
         return HBAR / (2.0 * self.sigma_x)
 
-    def evolved(self, t: float, force: float = 0.0, spreading: bool = False) -> "GaussianPacket":
+    def evolved(self, t, force: float = 0.0, spreading: bool = False) -> "GaussianPacket":
         """Closed-form moments under a constant force.
 
         <p>(t) = p0 + f t and <x>(t) = x0 + p0 t / m + f t^2 / 2m.  The width
         is frozen by default (the no-dissipation idealization); pass
         spreading=True for the free-packet width sigma(t) = sigma
-        sqrt(1 + (hbar t / 2 m sigma^2)^2).
+        sqrt(1 + (hbar t / 2 m sigma^2)^2).  t may be an array of times: the
+        moments (and a spreading width) are then arrays over it, elementwise
+        bit-identical to scalar calls.
         """
         x_t = self.x0 + self.p0 * t / self.mass + 0.5 * force * t * t / self.mass
         p_t = self.p0 + force * t

@@ -23,6 +23,7 @@ from gridref import (
     partial_trace_second,
     split_step,
 )
+from decolab.collapse import order_parameter_trace
 from decolab.constants import HBAR
 from decolab.errors import (
     DegenerateSpectrum,
@@ -48,6 +49,7 @@ from decolab.supersystem import (
     to_product_vector,
     von_neumann_couple,
 )
+from decolab.scenarios.sterngerlach import SGConfig, sg_hamiltonian
 from decolab.wavepacket import GaussianPacket, Grid1D, discretize_gaussian
 
 ORACLE_RTOL = 1e-8
@@ -243,6 +245,50 @@ def test_branch_evolve_rejects_nonlinear_potential():
     ham = InteractionHamiltonian(h1=ZERO2, v1=v1, v2=lambda x: x**2, mass=1e-25)
     with pytest.raises(NonlinearPotential):
         branch_evolve(ham, 1e-23, GaussianPacket(0.0, 0.0, 1e-9, 1e-25), 1e-7)
+
+
+def test_affinity_guard_checks_the_window_of_every_sample_time():
+    cfg = SGConfig()
+    beta, sigma = cfg.beta_z, cfg.sigma0
+    packet = GaussianPacket(0.0, 0.0, sigma, cfg.mass)
+    # Centre a narrow bump between the 7th and 8th of the 9 points that probe
+    # the final window of the plus branch (force +mu_B beta_z).
+    final = packet.evolved(cfg.t_max, force=cfg.mu_b * beta)
+    lo, hi = -6.0 * sigma, final.x0 + 6.0 * sigma
+    c = lo + 6.5 * (hi - lo) / 8
+    sg = sg_hamiltonian(cfg)
+    ham = InteractionHamiltonian(
+        h1=sg.h1,
+        v1=sg.v1,
+        v2=lambda x: beta * x + 1e-9 * beta * np.exp(-(((x - c) / 2e-11) ** 2)),
+        mass=cfg.mass,
+    )
+    # A single 9-point check over the final window misses the bump ...
+    branch_evolve(ham, -cfg.mu_b, packet, cfg.t_max)
+    # ... the windows of the earlier sample times catch it.
+    branches = [lambda t, v=v: branch_evolve(ham, v, packet, t) for v in (cfg.mu_b, -cfg.mu_b)]
+    times = np.linspace(0.0, cfg.t_max, cfg.n_steps + 1)
+    with pytest.raises(NonlinearPotential):
+        order_parameter_trace(branches, "position", times)
+
+
+@seed(14)
+@settings(max_examples=40, deadline=None)
+@given(
+    times=st.lists(st.floats(min_value=0.0, max_value=3e-7), min_size=1, max_size=40),
+    x0=st.floats(min_value=-1e-8, max_value=1e-8),
+    p0=st.floats(min_value=-1e-26, max_value=1e-26),
+    v_sign=st.sampled_from([-1.0, 1.0]),
+    spreading=st.booleans(),
+)
+def test_branch_evolve_over_a_time_array_matches_scalar_calls(times, x0, p0, v_sign, spreading):
+    ham = affine_ham(1e3, 1.79e-25)
+    start = GaussianPacket(x0, p0, 1e-9, 1.79e-25)
+    batch = branch_evolve(ham, v_sign * 1e-23, start, np.array(times), spreading=spreading)
+    single = [branch_evolve(ham, v_sign * 1e-23, start, t, spreading=spreading) for t in times]
+    for name in ("x0", "p0", "sigma_x"):
+        expected = np.array([getattr(packet, name) for packet in single])
+        assert np.array_equal(np.broadcast_to(getattr(batch, name), expected.shape), expected)
 
 
 @seed(13)
