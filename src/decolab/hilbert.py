@@ -77,7 +77,8 @@ class OperatorMatrix:
     basis, the 1-d array of its n diagonal values.  The hermitian/unitary
     flags are promises checked at construction time: a flag set to True on
     a matrix that fails the corresponding identity is rejected rather than
-    silently trusted.
+    silently trusted.  The Hermitian test is relative, max|M - M^dagger| <=
+    ALG_TOL max|M|, so its verdict does not depend on the units of M.
     """
 
     entries: np.ndarray
@@ -91,7 +92,7 @@ class OperatorMatrix:
         if m.size == 0 or not (diagonal or (m.ndim == 2 and m.shape[0] == m.shape[1])):
             raise DimensionMismatch(f"operator must be square or diagonal, got shape {m.shape}")
         adjoint = m.conj() if diagonal else m.conj().T
-        if self.hermitian and np.max(np.abs(m - adjoint)) >= ALG_TOL:
+        if self.hermitian and np.max(np.abs(m - adjoint)) > ALG_TOL * np.max(np.abs(m)):
             raise NonHermitian("hermitian flag set but M != M^dagger")
         if self.unitary:
             defect = np.abs(m) ** 2 - 1.0 if diagonal else adjoint @ m - np.eye(m.shape[0])

@@ -121,6 +121,27 @@ def test_operator_matrix_flag_guards():
     assert OperatorMatrix(np.exp(1j * np.array([0.3, 2.0])), unitary=True).dim == 2
 
 
+@seed(16)
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(min_value=2, max_value=MAX_DIM),
+    exponent=st.integers(min_value=-30, max_value=30),
+    key=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_hermitian_flag_is_scale_free(dim, exponent, key):
+    rng = np.random.default_rng(key)
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    hermitian = 0.5 * (raw + raw.conj().T)
+    skew = raw - raw.conj().T
+    unit = np.max(np.abs(hermitian)) / np.max(np.abs(skew))
+    scale = 10.0**exponent
+    # asymmetry at the rounding level passes, relative asymmetry 1e-6 fails, at any scale
+    nearly = (hermitian + 1e-14 * unit * skew) * scale
+    assert OperatorMatrix(nearly, hermitian=True).hermitian
+    with pytest.raises(NonHermitian):
+        OperatorMatrix((hermitian + 1e-6 * unit * skew) * scale, hermitian=True)
+
+
 # ------------------------------------------------------------- projectors
 
 
