@@ -71,9 +71,6 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "t-max": ("float", 3.0e-7),
         "n-steps": ("int", 1000),
         "n-trials": ("int", 2000),
-        "grid-min": ("float", -1.6e-8),
-        "grid-max": ("float", 1.6e-8),
-        "grid-points": ("int", 1024),
     },
     "bell": {
         "mode": ("str", "singlet"),  # singlet | audited
@@ -256,7 +253,6 @@ def _run_sterngerlach(config: RunConfig) -> ScenarioResult:
         c_minus=p["c-minus"],
         c_plus=p["c-plus"],
         sigma0=p["sigma0"],
-        grid=Grid1D(p["grid-min"], p["grid-max"], p["grid-points"]),
         t_max=p["t-max"],
         n_steps=p["n-steps"],
     )

@@ -218,14 +218,14 @@ PINNED_OUTPUTS = [
         ["sterngerlach", "--c-minus", "0.6", "--c-plus", "0.8j", "--n-steps", "400",
          "--n-trials", "500", "--seed", "3"],
         {
-            "summary.json": "bc981736160abaec4d5722d392776d5b64ac7b614c0ef2071223c4e2ff81ec58",
+            "summary.json": "69dabda59519940097eb810f217eba0db1555f0db174cc226ea10ca32580e231",
             "sterngerlach_order_parameter.csv": "94b46adcd2e72db960cba54534460bd6bec8cbab65cee73cb32fc1993925b3bc",
         },
     ),
     (
         ["sterngerlach", "--t-max", "5e-8", "--n-steps", "100", "--seed", "3"],
         {
-            "summary.json": "84425f749e80c36f171e8ca96d84b683f66fd0b14feb31defb02ece11bcc6729",
+            "summary.json": "c9a23252114e9cff4b18ed8f30a7d7941a11517aaa950cddc25a9f9800297fcc",
             "sterngerlach_order_parameter.csv": "6d5a7355d4126300b3f0a14d279948407d77617ac1629890ef89c96ed993e28a",
         },
     ),
