@@ -232,7 +232,7 @@ def branch_evolve(
     ham: InteractionHamiltonian,
     v_eigenvalue: float,
     initial: GaussianPacket,
-    t,
+    t: float | np.ndarray,
     spreading: bool = False,
 ) -> GaussianPacket:
     """Closed-form branch packet at time t under the effective potential v V2.
@@ -248,7 +248,8 @@ def branch_evolve(
     moved = initial.evolved(t, force=force, spreading=spreading)
     # Verify affinity over everything the packet sweeps, with 6 sigma margin:
     # one window per sample time, each probed at the 9 points of
-    # np.linspace(lo, hi, 9), taken one point index at a time over all windows.
+    # np.linspace(lo, hi, 9).  Going one point index at a time over all
+    # windows never holds a (n_times, 9) array.
     lo = np.atleast_1d(np.minimum(initial.x0, moved.x0) - 6.0 * moved.sigma_x)
     hi = np.atleast_1d(np.maximum(initial.x0, moved.x0) + 6.0 * moved.sigma_x)
     step = (hi - lo) / 8
