@@ -35,6 +35,7 @@ from decolab.errors import (
     TooManyParticles,
 )
 from decolab.hilbert import OperatorMatrix, make_state, projector
+from decolab.scenarios.sterngerlach import SGConfig, sg_hamiltonian
 from decolab.supersystem import (
     Branch,
     CorrelatedState,
@@ -49,7 +50,6 @@ from decolab.supersystem import (
     to_product_vector,
     von_neumann_couple,
 )
-from decolab.scenarios.sterngerlach import SGConfig, sg_hamiltonian
 from decolab.wavepacket import GaussianPacket, Grid1D, discretize_gaussian
 
 ORACLE_RTOL = 1e-8
