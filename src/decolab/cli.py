@@ -338,13 +338,9 @@ def _run_classicize(config: RunConfig) -> ScenarioResult:
     psi = make_state(np.array(config.params["amplitudes"], dtype=complex))
     eps = config.params["eps"]
     n_trials = config.params["n-trials"]
-    outcomes = [
-        sample_collapse(psi, split_seed(config.seed, i)) for i in range(n_trials)
-    ]
-    counts = [0] * psi.dim
-    for o in outcomes:
-        counts[o.branch_index] += 1
-    weights = [float(w) for w in np.abs(psi.amplitudes) ** 2]
+    drawn = sample_collapse(psi, n_trials, config.seed)
+    counts = np.bincount(drawn, minlength=psi.dim).tolist()
+    weights = (np.abs(psi.amplitudes) ** 2).tolist()
     header = ["branch", "weight", "count", "frequency"]
     rows = [(i, weights[i], counts[i], counts[i] / n_trials) for i in range(psi.dim)]
     summary = {
@@ -358,7 +354,7 @@ def _run_classicize(config: RunConfig) -> ScenarioResult:
         scenario=config.scenario,
         summary=summary,
         traces={"histogram": (header, rows)},
-        jsonl={"outcomes": outcomes_to_jsonl(outcomes)},
+        jsonl={"outcomes": outcomes_to_jsonl(drawn, weights)},
     )
 
 

@@ -9,9 +9,9 @@ drawn with Born weight |c_n|^2.  classicize packages that decision rule; it
 returns the untouched input before the crossing time and a sampled product
 branch after it.
 
-Sampling is inverse-CDF over the cumulative branch weights in branch order,
-driven by a seeded PCG64 generator, so runs are reproducible and portable.
-Concurrent trials derive per-trial seeds with split_seed.
+Sampling is inverse-CDF over the cumulative branch weights in branch order.
+Every trial of a run is drawn from one PCG64 stream seeded once, so runs are
+reproducible and portable: trial i is element i of that stream.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyTimes
+from .errors import DimensionMismatch, EmptyTimes, NonPositiveInput
 from .hilbert import StateVector
 from .supersystem import CorrelatedState
 from .wavepacket import GaussianPacket
@@ -31,13 +31,13 @@ from .wavepacket import GaussianPacket
 # excluded from the spread maximum.
 PHASE_WEIGHT_FLOOR = 1e-12
 
-# 64-bit golden-ratio increment; decorrelates per-trial seeds.
+# 64-bit golden-ratio increment; decorrelates the seeds split_seed derives.
 SEED_GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
 
 def split_seed(base: int, index: int) -> int:
-    """Per-trial seed: base XOR (golden ratio * index) mod 2^64."""
+    """Seed naming configuration `index` of a run: base XOR (golden ratio * index) mod 2^64."""
     return (int(base) ^ ((SEED_GOLDEN * int(index)) & _MASK64)) & _MASK64
 
 
@@ -144,33 +144,19 @@ def order_parameter_trace(
     )
 
 
-@dataclass(frozen=True)
-class CollapseOutcome:
-    branch_index: int
-    prior: float
-    posterior: tuple
-    seed: int
+def sample_collapse(psi: StateVector, n_trials: int, seed: int) -> np.ndarray:
+    """Draw n_trials branch indices with Born weight |c_n|^2 (inverse-CDF).
 
-
-def sample_collapse(psi: StateVector, seed: int) -> CollapseOutcome:
-    """Draw one branch with Born weight |c_n|^2 (inverse-CDF, PCG64 stream).
-
-    The cumulative weights are walked in branch order and the final branch
-    absorbs any rounding remainder, so zero-weight branches are never drawn.
+    One PCG64 stream seeded with seed mod 2^64 supplies every uniform, so a
+    draw of k trials is the first k of a draw of n.  The cumulative weights are walked
+    in branch order and the final branch absorbs any rounding remainder, so
+    zero-weight branches are never drawn.
     """
-    weights = np.abs(psi.amplitudes) ** 2
-    cumulative = np.cumsum(weights)
-    u = np.random.Generator(np.random.PCG64(seed)).random()
-    index = int(np.searchsorted(cumulative, u, side="right"))
-    index = min(index, weights.size - 1)
-    posterior = np.zeros(weights.size)
-    posterior[index] = 1.0
-    return CollapseOutcome(
-        branch_index=index,
-        prior=float(weights[index]),
-        posterior=tuple(posterior),
-        seed=int(seed),
-    )
+    if n_trials < 1:
+        raise NonPositiveInput(f"n_trials must be at least 1, got {n_trials}")
+    cumulative = np.cumsum(np.abs(psi.amplitudes) ** 2)
+    u = np.random.Generator(np.random.PCG64(int(seed) & _MASK64)).random(n_trials)
+    return np.minimum(np.searchsorted(cumulative, u, side="right"), psi.dim - 1)
 
 
 def geometric_reduction(c_n: complex, full_width: float) -> tuple[float, float]:
@@ -224,14 +210,13 @@ def classicize(
     if trace.tau is None or t < trace.tau:
         return ExactState(state=correlated)
     coeff_state = StateVector(np.array([b.coefficient for b in correlated.branches]))
-    outcome = sample_collapse(coeff_state, seed)
-    branch = correlated.branches[outcome.branch_index]
-    product = branch.product()
+    index = int(sample_collapse(coeff_state, 1, seed)[0])
+    branch = correlated.branches[index]
     return CollapsedProduct(
-        branch_index=outcome.branch_index,
-        prior=outcome.prior,
+        branch_index=index,
+        prior=float(abs(branch.coefficient) ** 2),
         factors=branch.factors,
-        product=product,
+        product=branch.product(),
         seed=int(seed),
     )
 
@@ -254,19 +239,17 @@ def trace_table(trace: OrderParameterTrace) -> tuple[list[str], list[tuple]]:
     return header, list(zip(*(column.tolist() for column in columns)))
 
 
-def outcomes_to_jsonl(outcomes: Sequence[CollapseOutcome]) -> str:
-    """One JSON object per line; stable key order for reproducible bytes."""
-    lines = []
-    for o in outcomes:
-        lines.append(
-            json.dumps(
-                {
-                    "branch_index": o.branch_index,
-                    "prior": o.prior,
-                    "posterior": list(o.posterior),
-                    "seed": o.seed,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"
+def outcomes_to_jsonl(indices: np.ndarray, weights: Sequence[float]) -> str:
+    """One JSON object per trial: branch_index, posterior, prior, trial.
+
+    Keys are sorted for reproducible bytes.  Only the trial number varies
+    between records of one branch, so each branch's record prefix is built
+    once; "trial" sorts last, so prefix + number + "}" is the sorted dump.
+    """
+    prefixes = []
+    for index, weight in enumerate(weights):
+        posterior = [0.0] * len(weights)
+        posterior[index] = 1.0
+        record = {"branch_index": index, "posterior": posterior, "prior": float(weight)}
+        prefixes.append(json.dumps(record, sort_keys=True)[:-1] + ', "trial": ')
+    return "".join(f"{prefixes[b]}{i}}}\n" for i, b in enumerate(np.asarray(indices).tolist()))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..collapse import OrderParameterTrace, order_parameter_trace, sample_collapse, split_seed
+from ..collapse import OrderParameterTrace, order_parameter_trace, sample_collapse
 from ..constants import MASS_SILVER, MU_B
 from ..errors import TMaxBeforeCritical
 from ..hilbert import OperatorMatrix, StateVector
@@ -142,11 +142,9 @@ def sg_run(config: SGConfig, n_trials: int, seed: int) -> SGRunResult:
             TMaxBeforeCritical,
         )
     else:
-        coefficients = StateVector(state.coefficients)
-        counts = {label: 0 for label in BRANCH_LABELS}
-        for i in range(n_trials):
-            outcome = sample_collapse(coefficients, split_seed(seed, i))
-            counts[BRANCH_LABELS[outcome.branch_index]] += 1
+        drawn = sample_collapse(StateVector(state.coefficients), n_trials, seed)
+        tally = np.bincount(drawn, minlength=len(BRANCH_LABELS)).tolist()
+        counts = dict(zip(BRANCH_LABELS, tally))
         frequencies = {label: counts[label] / n_trials for label in BRANCH_LABELS}
     return SGRunResult(
         trace=trace,

@@ -218,7 +218,7 @@ PINNED_OUTPUTS = [
         ["sterngerlach", "--c-minus", "0.6", "--c-plus", "0.8j", "--n-steps", "400",
          "--n-trials", "500", "--seed", "3"],
         {
-            "summary.json": "69dabda59519940097eb810f217eba0db1555f0db174cc226ea10ca32580e231",
+            "summary.json": "8a80586477d7c2c10df73fe0ac1f37280e1e6268d961a69813fda9f96fb58998",
             "sterngerlach_order_parameter.csv": "94b46adcd2e72db960cba54534460bd6bec8cbab65cee73cb32fc1993925b3bc",
         },
     ),

@@ -30,7 +30,7 @@ from decolab.collapse import (
     split_seed,
     trace_table,
 )
-from decolab.errors import DimensionMismatch, EmptyTimes
+from decolab.errors import DimensionMismatch, EmptyTimes, NonPositiveInput
 from decolab.hilbert import apply_w, make_state
 from decolab.supersystem import Branch, CorrelatedState
 from decolab.wavepacket import GaussianPacket
@@ -140,39 +140,58 @@ def test_phase_spread_zero_iff_equal_weights(dim, key, eps):
 
 def test_sample_collapse_is_deterministic_per_seed():
     psi = make_state([math.sqrt(0.8), math.sqrt(0.2)])
-    a = sample_collapse(psi, 1234)
-    b = sample_collapse(psi, 1234)
-    assert a == b
-    assert a.prior == pytest.approx(abs(psi.amplitudes[a.branch_index]) ** 2)
-    assert sum(a.posterior) == 1.0 and a.posterior[a.branch_index] == 1.0
+    a = sample_collapse(psi, 1000, 1234)
+    b = sample_collapse(psi, 1000, 1234)
+    assert np.array_equal(a, b)
+    assert a.shape == (1000,) and np.issubdtype(a.dtype, np.integer)
+    assert set(a.tolist()) == {0, 1}
 
 
 def test_sample_collapse_certainty_and_zero_weight():
     sure = make_state([1.0, 0.0])
-    assert all(sample_collapse(sure, split_seed(9, i)).branch_index == 0 for i in range(64))
+    assert np.all(sample_collapse(sure, 64, 9) == 0)
     hole = make_state([math.sqrt(0.5), 0.0, math.sqrt(0.5)])
-    drawn = {sample_collapse(hole, split_seed(5, i)).branch_index for i in range(512)}
+    drawn = set(sample_collapse(hole, 512, 5).tolist())
     assert 1 not in drawn
     assert drawn == {0, 2}
 
 
 def test_sampling_frequency_within_binomial_ci():
     psi = make_state([math.sqrt(0.8), math.sqrt(0.2)])
-    hits = sum(
-        sample_collapse(psi, split_seed(20240800, i)).branch_index == 0
-        for i in range(SAMPLING_TRIALS)
-    )
-    freq = hits / SAMPLING_TRIALS
+    drawn = sample_collapse(psi, SAMPLING_TRIALS, 20240800)
+    freq = np.count_nonzero(drawn == 0) / SAMPLING_TRIALS
     assert abs(freq - 0.8) <= binomial_ci(0.8, SAMPLING_TRIALS)
 
 
 def test_sampling_frequency_even_split():
     psi = make_state([1.0, 1.0])
     n = 20_000
-    hits = sum(
-        sample_collapse(psi, split_seed(77, i)).branch_index == 0 for i in range(n)
-    )
+    hits = np.count_nonzero(sample_collapse(psi, n, 77) == 0)
     assert abs(hits / n - 0.5) <= binomial_ci(0.5, n)
+
+
+@seed(15)
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(min_value=1, max_value=6),
+    key=st.integers(min_value=0, max_value=2**31 - 1),
+    base=st.integers(min_value=0, max_value=2**64 - 1),
+    k=st.integers(min_value=1, max_value=50),
+    extra=st.integers(min_value=0, max_value=200),
+)
+def test_sample_collapse_draws_are_a_prefix_of_longer_draws(dim, key, base, k, extra):
+    rng = np.random.default_rng(key)
+    psi = make_state(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    short = sample_collapse(psi, k, base)
+    long = sample_collapse(psi, k + extra, base)
+    assert np.array_equal(short, long[:k])
+
+
+def test_sample_collapse_rejects_fewer_than_one_trial():
+    psi = make_state([1.0, 1.0])
+    for n in (0, -3):
+        with pytest.raises(NonPositiveInput):
+            sample_collapse(psi, n, 5)
 
 
 def test_split_seed_schedule_is_collision_free():
@@ -364,11 +383,20 @@ def test_classicize_rejects_mismatched_trace():
 
 def test_outcomes_jsonl_is_deterministic_and_parseable():
     psi = make_state([math.sqrt(0.8), math.sqrt(0.2)])
-    outcomes = [sample_collapse(psi, split_seed(5, i)) for i in range(10)]
-    blob = outcomes_to_jsonl(outcomes)
-    again = outcomes_to_jsonl([sample_collapse(psi, split_seed(5, i)) for i in range(10)])
-    assert blob == again
+    weights = (np.abs(psi.amplitudes) ** 2).tolist()
+    drawn = sample_collapse(psi, 10, 5)
+    blob = outcomes_to_jsonl(drawn, weights)
+    assert blob == outcomes_to_jsonl(sample_collapse(psi, 10, 5), weights)
+    assert blob.endswith("\n")
     lines = blob.strip().split("\n")
     assert len(lines) == 10
-    first = json.loads(lines[0])
-    assert set(first) >= {"branch_index", "prior", "posterior", "seed"}
+    for number, (line, index) in enumerate(zip(lines, drawn.tolist())):
+        record = json.loads(line)
+        assert line == json.dumps(record, sort_keys=True)
+        assert set(record) == {"branch_index", "posterior", "prior", "trial"}
+        assert record["trial"] == number
+        assert record["branch_index"] == index
+        one_hot = [0.0] * len(weights)
+        one_hot[index] = 1.0
+        assert record["posterior"] == one_hot
+        assert record["prior"] == weights[index]
