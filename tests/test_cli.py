@@ -229,13 +229,21 @@ PINNED_OUTPUTS = [
             "sterngerlach_order_parameter.csv": "6d5a7355d4126300b3f0a14d279948407d77617ac1629890ef89c96ed993e28a",
         },
     ),
+    (
+        ["classicize", "--n-trials", "300", "--seed", "5"],
+        {
+            "summary.json": "b2a98795321dbc20577b04feba611daad0d8581e53a737d4ac5a40e2bfba8c37",
+            "classicize_histogram.csv": "335133583e2d1f6f2a24f8dc77ead93a985e49bbfd60ff0200a754d4a7ac14a1",
+            "classicize_outcomes.jsonl": "013517c970385d61b6a356d56369874fc7395e7fd4aef83355d710903d265ca1",
+        },
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,digests",
     PINNED_OUTPUTS,
-    ids=["bell-2", "bell-3", "wavepacket", "sg-collapse", "sg-pre-tau"],
+    ids=["bell-2", "bell-3", "wavepacket", "sg-collapse", "sg-pre-tau", "classicize"],
 )
 def test_output_bytes_pinned(tmp_path, argv, digests):
     out, _ = do_run(tmp_path, argv)
