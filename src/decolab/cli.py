@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 scenario error, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -122,26 +123,32 @@ class ScenarioResult:
     jsonl: dict = field(default_factory=dict)  # name -> text blob
 
 
+def _finite(value):
+    if not cmath.isfinite(value):
+        raise ValueError("nan and inf are not accepted")
+    return value
+
+
 def _convert(key: str, tag: str, raw):
     if not isinstance(raw, str):
         return raw
     text = raw.strip()
     try:
         if tag == "float":
-            return float(text)
+            return _finite(float(text))
         if tag == "int":
             value = float(text)
             if value != int(value):
                 raise ValueError
             return int(value)
         if tag == "complex":
-            return complex(text.replace(" ", ""))
+            return _finite(complex(text.replace(" ", "")))
         if tag == "floats":
             parts = [p for p in text.split(",") if p.strip()]
-            return tuple(float(p) for p in parts)
+            return tuple(_finite(float(p)) for p in parts)
         if tag == "complexes":
             parts = [p for p in text.split(",") if p.strip()]
-            return tuple(complex(p.replace(" ", "")) for p in parts)
+            return tuple(_finite(complex(p.replace(" ", ""))) for p in parts)
         if tag == "bool":
             if text.lower() in ("true", "1", "yes"):
                 return True
@@ -149,7 +156,7 @@ def _convert(key: str, tag: str, raw):
                 return False
             raise ValueError
         return text
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # int(inf) overflows
         raise TypeMismatch(key, tag, raw) from exc
 
 

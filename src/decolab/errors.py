@@ -68,7 +68,7 @@ class ConditionViolated(DecolabError, ValueError):
 
 
 class NonPositiveInput(DecolabError, ValueError):
-    """Mass, temperature or spacing must be strictly positive."""
+    """Mass, temperature, spacing or trial count must be strictly positive."""
 
 
 class TMaxBeforeCritical(UserWarning):

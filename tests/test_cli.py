@@ -285,3 +285,37 @@ def test_main_bad_mode_exit_one(tmp_path, capsys):
     code = main(["bell", "--mode", "sideways", "--out", str(tmp_path / "bad")])
     assert code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classicize", "--n-trials", "inf"],
+        ["classicize", "--seed", "inf"],
+        ["classicize", "--seed=-inf"],
+        ["classicize", "--eps", "nan"],
+        ["classicize", "--amplitudes", "1,nan"],
+        ["classicize", "--amplitudes", "1,infj"],
+        ["sterngerlach", "--t-max", "inf"],
+        ["sterngerlach", "--beta-z", "1e400"],
+        ["sterngerlach", "--c-minus", "nan+0j"],
+        ["sterngerlach", "--n-steps", "nan"],
+        ["bose", "--temps", "nan"],
+        ["bose", "--temps", "1e-6,-inf"],
+        ["wavepacket-check", "--sigma", "nan"],
+    ],
+)
+def test_main_non_finite_flag_exit_two(tmp_path, capsys, argv):
+    out = tmp_path / "bad"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("scenario", ["classicize", "sterngerlach"])
+@pytest.mark.parametrize("n_trials", ["0", "-3"])
+def test_main_fewer_than_one_trial_exit_one(tmp_path, capsys, scenario, n_trials):
+    out = tmp_path / "bad"
+    assert main([scenario, "--n-trials", n_trials, "--out", str(out)]) == 1
+    assert "n_trials" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
