@@ -34,7 +34,8 @@ from .hilbert import NORM_TOL, OperatorMatrix, StateVector, projector
 from .wavepacket import GaussianPacket, Grid1D, discretize_gaussian, packet_overlap
 from .constants import HBAR
 
-# [H1, V1] must vanish for the branch labels to be conserved.
+# [H1, V1] must vanish, relative to max|H1| max|V1|, for the branch labels to
+# be conserved.
 COMMUTATOR_TOL = 1e-10
 # Relative gap below which two coupling eigenvalues count as degenerate.
 DEGENERACY_RTOL = 1e-9
@@ -161,11 +162,12 @@ class SecondKindMixture:
 class InteractionHamiltonian:
     """H = H1 (x) 1 + 1 (x) H2 + V1 (x) V2 with conserved branch labels.
 
-    H1 and V1 must commute (within COMMUTATOR_TOL) so V1 eigenvalues label
-    stationary branches, and the V1 spectrum must be non-degenerate so the
-    labels are faithful.  V2 is a real function of the pointer coordinate;
-    H2 defaults to the kinetic term p^2 / 2 mass on whatever grid the state
-    is evaluated on (a dense override can be supplied for matrix pointers).
+    H1 and V1 must commute (within COMMUTATOR_TOL relative to max|H1| max|V1|)
+    so V1 eigenvalues label stationary branches, and the V1 spectrum must be
+    non-degenerate so the labels are faithful.  V2 is a real function of the
+    pointer coordinate; H2 defaults to the kinetic term p^2 / 2 mass on
+    whatever grid the state is evaluated on (a dense override can be supplied
+    for matrix pointers).
     """
 
     h1: OperatorMatrix
@@ -179,9 +181,11 @@ class InteractionHamiltonian:
             raise NonHermitian("H1 and V1 must be Hermitian")
         if self.h1.dim != self.v1.dim:
             raise DimensionMismatch("H1 and V1 act on the same factor")
-        comm = self.h1.entries @ self.v1.entries - self.v1.entries @ self.h1.entries
-        if np.max(np.abs(comm)) >= COMMUTATOR_TOL:
-            raise ValueError(f"[H1, V1] = {np.max(np.abs(comm)):g} exceeds {COMMUTATOR_TOL:g}")
+        h1, v1 = self.h1.entries, self.v1.entries
+        comm = np.max(np.abs(h1 @ v1 - v1 @ h1))
+        bound = COMMUTATOR_TOL * np.max(np.abs(h1)) * np.max(np.abs(v1))
+        if not comm <= bound:
+            raise ValueError(f"max|[H1, V1]| = {comm:g} exceeds {bound:g}")
         if self.mass <= 0:
             raise ValueError("mass must be positive")
         eigen = np.linalg.eigvalsh(self.v1.entries)
@@ -260,7 +264,7 @@ def branch_evolve(
         peak = np.maximum(peak, np.abs(values))
         misfit = np.maximum(misfit, np.abs(values - (value0 + slope * (xs - initial.x0))))
     tolerance = 1e-9 * np.maximum(np.maximum(peak, abs(slope) * (hi - lo)), 1e-300)
-    if np.any(misfit > tolerance):
+    if not np.all(misfit <= tolerance):
         raise NonlinearPotential("V2 is not affine over the packet support")
     return moved
 

@@ -175,6 +175,36 @@ def test_hamiltonian_requires_commuting_h1_v1():
         InteractionHamiltonian(h1=sx, v1=sz, v2=lambda x: x, mass=1e-25)
 
 
+def test_hamiltonian_commutator_check_is_relative():
+    # at 1e-23 the commutator is only ~2e-46, yet the pair plainly fails to commute
+    sx = OperatorMatrix(np.array([[0, 1e-23], [1e-23, 0]], dtype=complex), hermitian=True)
+    sz = OperatorMatrix(np.diag([1e-23, -1e-23]).astype(complex), hermitian=True)
+    with pytest.raises(ValueError):
+        InteractionHamiltonian(h1=sx, v1=sz, v2=lambda x: x, mass=1e-25)
+
+
+@seed(17)
+@settings(max_examples=60, deadline=None)
+@given(
+    h_exponent=st.integers(min_value=-30, max_value=30),
+    v_exponent=st.integers(min_value=-30, max_value=30),
+    key=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_hamiltonian_commutator_check_is_scale_free(h_exponent, v_exponent, key):
+    rng = np.random.default_rng(key)
+    h_scale, v_scale = 10.0**h_exponent, 10.0**v_exponent
+    v1 = OperatorMatrix(np.diag([1.0, -1.0, 2.5]).astype(complex) * v_scale, hermitian=True)
+    diagonal = np.diag(rng.normal(size=3)).astype(complex)
+    commuting = OperatorMatrix(diagonal * h_scale, hermitian=True)
+    InteractionHamiltonian(h1=commuting, v1=v1, v2=lambda x: x, mass=1e-25)
+    # a relative off-diagonal coupling of 1e-6 fails at any scale
+    coupling = np.zeros((3, 3), dtype=complex)
+    coupling[0, 1] = coupling[1, 0] = 1e-6 * np.max(np.abs(diagonal))
+    noncommuting = OperatorMatrix((diagonal + coupling) * h_scale, hermitian=True)
+    with pytest.raises(ValueError):
+        InteractionHamiltonian(h1=noncommuting, v1=v1, v2=lambda x: x, mass=1e-25)
+
+
 def test_hamiltonian_rejects_degenerate_v1():
     flat = OperatorMatrix(np.diag([1e-23, 1e-23]).astype(complex), hermitian=True)
     with pytest.raises(DegenerateSpectrum):
@@ -270,6 +300,21 @@ def test_affinity_guard_checks_the_window_of_every_sample_time():
     times = np.linspace(0.0, cfg.t_max, cfg.n_steps + 1)
     with pytest.raises(NonlinearPotential):
         order_parameter_trace(branches, "position", times)
+
+
+@pytest.mark.parametrize(
+    "v2",
+    [
+        lambda x: np.full(np.shape(x), np.nan),
+        lambda x: np.where(np.abs(x) > 3e-9, np.nan, 1e3 * np.asarray(x, dtype=float)),
+    ],
+    ids=["nan-everywhere", "nan-beyond-3nm"],
+)
+def test_branch_evolve_rejects_nan_potential(v2):
+    v1 = OperatorMatrix(np.diag([1e-23, -1e-23]).astype(complex), hermitian=True)
+    ham = InteractionHamiltonian(h1=ZERO2, v1=v1, v2=v2, mass=1e-25)
+    with pytest.raises(NonlinearPotential):
+        branch_evolve(ham, 1e-23, GaussianPacket(0.0, 0.0, 1e-9, 1e-25), 1e-7)
 
 
 @seed(14)
