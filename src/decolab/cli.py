@@ -58,6 +58,8 @@ from .wavepacket import (
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "DECOLAB_SEED"
+# Characters of a JSONL blob handed to the file per write.
+JSONL_SLICE = 1 << 16
 
 # Per-scenario parameter schemas: key -> (type tag, default).
 SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
@@ -457,7 +459,12 @@ def emit(result: ScenarioResult, config: RunConfig) -> list[Path]:
     if "json" in config.formats:
         for name, blob in result.jsonl.items():
             path = out_dir / f"{result.scenario}_{name}.jsonl"
-            path.write_text(blob, encoding="utf-8")
+            # Slices keep the encoder from allocating a second full-size copy
+            # of a multi-megabyte blob, whose fresh pages cost more to fault
+            # in than the write itself.
+            with path.open("w", encoding="utf-8") as f:
+                for start in range(0, len(blob), JSONL_SLICE):
+                    f.write(blob[start : start + JSONL_SLICE])
             written.append(path)
     return written
 

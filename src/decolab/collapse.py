@@ -148,9 +148,9 @@ def sample_collapse(psi: StateVector, n_trials: int, seed: int) -> np.ndarray:
     """Draw n_trials branch indices with Born weight |c_n|^2 (inverse-CDF).
 
     One PCG64 stream seeded with seed mod 2^64 supplies every uniform, so a
-    draw of k trials is the first k of a draw of n.  The cumulative weights are walked
-    in branch order and the final branch absorbs any rounding remainder, so
-    zero-weight branches are never drawn.
+    draw of k trials is the first k of a draw of n.  The cumulative weights
+    are walked in branch order and the final branch absorbs any rounding
+    remainder, so zero-weight branches are never drawn.
     """
     if n_trials < 1:
         raise NonPositiveInput(f"n_trials must be at least 1, got {n_trials}")
