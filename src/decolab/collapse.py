@@ -252,4 +252,4 @@ def outcomes_to_jsonl(indices: np.ndarray, weights: Sequence[float]) -> str:
         posterior[index] = 1.0
         record = {"branch_index": index, "posterior": posterior, "prior": float(weight)}
         prefixes.append(json.dumps(record, sort_keys=True)[:-1] + ', "trial": ')
-    return "".join(f"{prefixes[b]}{i}}}\n" for i, b in enumerate(np.asarray(indices).tolist()))
+    return "".join(f"{prefixes[b]}{i}}}\n" for i, b in enumerate(indices.tolist()))
