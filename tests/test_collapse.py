@@ -30,7 +30,7 @@ from decolab.collapse import (
     split_seed,
     trace_table,
 )
-from decolab.errors import DimensionMismatch, EmptyTimes, NonPositiveInput
+from decolab.errors import DimensionMismatch, EmptyTimes
 from decolab.hilbert import apply_w, make_state
 from decolab.supersystem import Branch, CorrelatedState
 from decolab.wavepacket import GaussianPacket
@@ -185,13 +185,6 @@ def test_sample_collapse_draws_are_a_prefix_of_longer_draws(dim, key, base, k, e
     short = sample_collapse(psi, k, base)
     long = sample_collapse(psi, k + extra, base)
     assert np.array_equal(short, long[:k])
-
-
-def test_sample_collapse_rejects_fewer_than_one_trial():
-    psi = make_state([1.0, 1.0])
-    for n in (0, -3):
-        with pytest.raises(NonPositiveInput):
-            sample_collapse(psi, n, 5)
 
 
 def test_split_seed_schedule_is_collision_free():
