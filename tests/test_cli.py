@@ -237,13 +237,33 @@ PINNED_OUTPUTS = [
             "classicize_outcomes.jsonl": "013517c970385d61b6a356d56369874fc7395e7fd4aef83355d710903d265ca1",
         },
     ),
+    (
+        # 4096 points is where a squared magnitude computed any way but
+        # Python's float ** 2 first moves a last digit of abs2_psi.
+        ["wavepacket-check", "--grid-points", "4096"],
+        {
+            "summary.json": "e5d027afa154986eac74b8f08912c0c7d23deebf6e41a36774b393c65cbd8462",
+            "wavepacket-check_state.csv": "f141f825e4b3a114e1956e585b6802ce05f6cc8dc02a4dd3ef55c55c8ece6590",
+        },
+    ),
+    (
+        # The only trace with a string column (phase).
+        ["bose"],
+        {
+            "summary.json": "8451ee0ef0910c1b783c40e95f49ab6b3d36e3c8ffa68708052c2159758780a4",
+            "bose_classification.csv": "54578c15efd028d70d33f6d134d1e41d181a85eae265f8cfa42904ca06e51868",
+        },
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,digests",
     PINNED_OUTPUTS,
-    ids=["bell-2", "bell-3", "wavepacket", "sg-collapse", "sg-pre-tau", "classicize"],
+    ids=[
+        "bell-2", "bell-3", "wavepacket", "sg-collapse", "sg-pre-tau", "classicize",
+        "wavepacket-4096", "bose",
+    ],
 )
 def test_output_bytes_pinned(tmp_path, argv, digests):
     out, _ = do_run(tmp_path, argv)
