@@ -225,8 +225,8 @@ def classicize(
 # Export plumbing.
 
 
-def trace_table(trace: OrderParameterTrace) -> tuple[list[str], list[tuple]]:
-    """Header and rows for CSV export; single-pair traces use plain names."""
+def trace_table(trace: OrderParameterTrace) -> tuple[list[str], list[np.ndarray]]:
+    """Header and columns for CSV export; single-pair traces use plain names."""
     if len(trace.pairs) == 1:
         header = ["t", "gap", "critical"]
     else:
@@ -236,7 +236,7 @@ def trace_table(trace: OrderParameterTrace) -> tuple[list[str], list[tuple]]:
     columns = [trace.times]
     for p in range(len(trace.pairs)):
         columns += [trace.gap[p], trace.critical[p]]
-    return header, list(zip(*(column.tolist() for column in columns)))
+    return header, columns
 
 
 def outcomes_to_jsonl(indices: np.ndarray, weights: Sequence[float]) -> str:

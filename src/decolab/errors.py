@@ -71,6 +71,10 @@ class NonPositiveInput(DecolabError, ValueError):
     """Mass, temperature, spacing or trial count must be strictly positive."""
 
 
+class InvalidParameter(DecolabError, ValueError):
+    """A count, sign, interval or normalization lies outside what a model supports."""
+
+
 class TMaxBeforeCritical(UserWarning):
     """Requested readout time precedes the critical (collapse) time."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConditionViolated, DimensionMismatch
+from ..errors import ConditionViolated, DimensionMismatch, InvalidParameter
 from ..hilbert import OperatorMatrix, StateVector
 from ..supersystem import Branch, CorrelatedState
 from ..wavepacket import (
@@ -113,7 +113,7 @@ def bell_evaluate(
     is always the exact |<AB> - <AD> + <CB> + <CD>|.
     """
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise InvalidParameter("sign must be +1 or -1")
     a, b, c, d = obs
     for branch in state.branches:
         if not isinstance(branch.sub1, StateVector) or not isinstance(branch.sub2, StateVector):
@@ -212,7 +212,7 @@ def audited_configuration(seed: int, n_branches: int = 2, grid: Grid1D | None = 
     branch weights stay away from degeneracy.  Returns (state, (A, B, C, D)).
     """
     if not 2 <= n_branches <= 3:
-        raise ValueError("audited configurations use 2 or 3 branches")
+        raise InvalidParameter("audited configurations use 2 or 3 branches")
     grid = grid or _default_grid()
     rng = np.random.Generator(np.random.PCG64(seed))
     cells1 = rng.choice(_CELL_COUNT, size=n_branches, replace=False)

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..collapse import OrderParameterTrace, order_parameter_trace, sample_collapse
 from ..constants import MASS_SILVER, MU_B
-from ..errors import TMaxBeforeCritical
+from ..errors import InvalidParameter, NonPositiveInput, TMaxBeforeCritical
 from ..hilbert import OperatorMatrix, StateVector
 from ..supersystem import Branch, CorrelatedState, InteractionHamiltonian, branch_evolve
 from ..wavepacket import GaussianPacket, Grid1D
@@ -47,13 +47,13 @@ class SGConfig:
 
     def __post_init__(self):
         for name in ("beta_z", "mass", "mu_b", "delta_z", "sigma0", "t_max"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not getattr(self, name) > 0:
+                raise NonPositiveInput(f"{name} must be positive")
         if self.n_steps < 2:
-            raise ValueError("n_steps must be at least 2")
+            raise InvalidParameter("n_steps must be at least 2")
         total = abs(self.c_minus) ** 2 + abs(self.c_plus) ** 2
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"|c_-|^2 + |c_+|^2 = {total!r}, expected 1")
+        if not abs(total - 1.0) <= 1e-10:
+            raise InvalidParameter(f"|c_-|^2 + |c_+|^2 = {total!r}, expected 1")
 
 
 def sg_moments(config: SGConfig, t: float) -> dict[str, float]:
@@ -128,8 +128,10 @@ def sg_run(config: SGConfig, n_trials: int, seed: int) -> SGRunResult:
 
     When t_max falls before the crossing time a TMaxBeforeCritical warning is
     issued and no outcomes are drawn; the exact branch weights stand in for
-    statistics.
+    statistics.  n_trials must be at least 1 either way.
     """
+    if n_trials < 1:
+        raise NonPositiveInput(f"n_trials must be at least 1, got {n_trials}")
     times = np.linspace(0.0, config.t_max, config.n_steps + 1)
     trace = order_parameter_trace(sg_branch_trajectories(config), "position", times)
     state = sg_correlated_state(config)

@@ -5,10 +5,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from decolab.cli import emit, main, parse_config, run
+from decolab.cli import RunConfig, ScenarioResult, emit, main, parse_config, run
 from decolab.errors import ConfigError, TypeMismatch, UnknownKey
 
 
@@ -271,6 +276,58 @@ def test_output_bytes_pinned(tmp_path, argv, digests):
     assert written == digests
 
 
+def _format_cell(value) -> str:
+    """Cell formatting of the per-cell emitter that the row template replaced."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+TINY = 2.2250738585072014e-308  # smallest normal double
+FLOAT_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, TINY, -TINY, 1.7976931348623157e308]),
+    st.floats(min_value=-TINY, max_value=TINY),  # subnormals and both zeros
+    st.floats(min_value=1e299, max_value=1e301),
+    st.floats(min_value=-1e301, max_value=-1e299),
+    st.floats(min_value=1e-301, max_value=1e-299),
+    st.floats(min_value=-1e-299, max_value=-1e-301),
+)
+CELLS = {
+    np.float64: FLOAT_CELLS,
+    np.int64: st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    np.bool_: st.booleans(),
+    # NumPy strings drop trailing NULs, which no trace holds
+    np.str_: st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"), max_size=6),
+}
+
+
+@st.composite
+def trace_columns(draw):
+    n_rows = draw(st.integers(min_value=0, max_value=12))
+    dtypes = draw(st.lists(st.sampled_from(list(CELLS)), min_size=1, max_size=7))
+    return [
+        np.array(draw(st.lists(CELLS[d], min_size=n_rows, max_size=n_rows)), dtype=d)
+        for d in dtypes
+    ]
+
+
+@seed(16)
+@settings(max_examples=200, deadline=None)
+@given(columns=trace_columns())
+def test_emit_matches_per_cell_formatting(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    rows = zip(*(column.tolist() for column in columns))
+    lines = [",".join(header)] + [",".join(_format_cell(v) for v in row) for row in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        config = RunConfig(scenario="prop", params={}, output_dir=out, formats=frozenset({"csv"}))
+        emit(ScenarioResult("prop", {}, traces={"t": (header, columns)}), config)
+        assert (out / "prop_t.csv").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
 # -------------------------------------------------------------- exit codes
 
 
@@ -338,4 +395,37 @@ def test_main_fewer_than_one_trial_exit_one(tmp_path, capsys, scenario, n_trials
     out = tmp_path / "bad"
     assert main([scenario, "--n-trials", n_trials, "--out", str(out)]) == 1
     assert "n_trials" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+# Bad values that only a scenario's own constructor or runner can judge,
+# including counts the run would not otherwise use.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sterngerlach", "--beta-z", "-1"],
+        ["sterngerlach", "--mass", "0"],
+        ["sterngerlach", "--n-steps", "1"],
+        ["sterngerlach", "--c-minus", "0.9"],
+        ["sterngerlach", "--t-max", "5e-8", "--n-trials", "-3"],
+        ["wavepacket-check", "--sigma", "-1"],
+        ["wavepacket-check", "--mass", "-1"],
+        ["wavepacket-check", "--grid-points", "8"],
+        ["bell", "--sign", "2"],
+        ["bell", "--mode", "audited", "--n-branches", "4"],
+        ["bell", "--mode", "audited", "--n-configs", "-2"],
+        ["bell", "--mode", "audited", "--n-configs", "0"],
+    ],
+    ids=[
+        "sg-beta-z", "sg-mass", "sg-n-steps", "sg-c-minus", "sg-pre-tau-n-trials",
+        "wp-sigma", "wp-mass", "wp-grid-points",
+        "bell-sign", "bell-n-branches", "bell-n-configs-negative", "bell-n-configs-zero",
+    ],
+)
+def test_main_invalid_parameter_exit_one(tmp_path, capsys, argv):
+    out = tmp_path / "bad"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
     assert not (out / "summary.json").exists()

@@ -287,10 +287,10 @@ def test_trace_table_single_pair_schema():
     trace = order_parameter_trace(
         linear_branches(2e-3, 1e-9), "position", np.linspace(0, 1e-6, 5)
     )
-    header, rows = trace_table(trace)
+    header, columns = trace_table(trace)
     assert header == ["t", "gap", "critical"]
-    assert len(rows) == 5
-    assert rows[0][0] == 0.0
+    assert [len(column) for column in columns] == [5, 5, 5]
+    assert columns[0][0] == 0.0
 
 
 # --------------------------------------------------------------- classicize

@@ -26,7 +26,7 @@ from decolab.wavepacket import (
     check_a1,
     check_a2,
     discretize_gaussian,
-    grid_state_rows,
+    grid_state_columns,
     momentum_mean_and_dev,
     packet_overlap,
     position_operator,
@@ -128,13 +128,12 @@ def test_packet_outside_grid_raises():
 
 def test_grid_state_rows_unweight_density():
     psi = discretize_gaussian(REF_GRID, REF_PACKET)
-    rows = grid_state_rows(REF_GRID, psi)
-    assert len(rows) == REF_GRID.n_points
-    density = np.array([r[3] for r in rows])
+    columns = grid_state_columns(REF_GRID, psi)
+    assert [len(column) for column in columns] == [REF_GRID.n_points] * 4
+    x, _, _, density = columns
     # trapezoid-free Riemann sum of |psi(x)|^2 dx returns unity
     assert abs(np.sum(density) * REF_GRID.dx - 1.0) < 1e-12
-    peak = max(rows, key=lambda r: r[3])
-    assert abs(peak[0] - REF_PACKET.x0) < 2 * REF_GRID.dx
+    assert abs(x[np.argmax(density)] - REF_PACKET.x0) < 2 * REF_GRID.dx
 
 
 # ---------------------------------------------------------------- overlap
