@@ -444,10 +444,11 @@ def emit(result: ScenarioResult, config: RunConfig) -> list[Path]:
         for name, (header, columns) in result.traces.items():
             path = out_dir / f"{result.scenario}_{name}.csv"
             row = ",".join(CELL_CODES.get(c.dtype.kind, "%s") for c in columns) + "\n"
-            # One % per row: a single % over every cell of the file is a little
-            # faster but fragments the heap, so peak RSS creeps up run after run.
-            body = "".join(map(row.__mod__, zip(*(c.tolist() for c in columns))))
-            path.write_text(",".join(header) + "\n" + body, encoding="utf-8")
+            with path.open("w", encoding="utf-8") as f:
+                f.write(",".join(header) + "\n")
+                # One % per row, streamed through the file buffer: joining the
+                # rows first, or one % over every cell, holds more memory at peak.
+                f.writelines(map(row.__mod__, zip(*(c.tolist() for c in columns))))
             written.append(path)
     if "json" in config.formats:
         for name, blob in result.jsonl.items():

@@ -227,15 +227,12 @@ def classicize(
 
 def trace_table(trace: OrderParameterTrace) -> tuple[list[str], list[np.ndarray]]:
     """Header and columns for CSV export; single-pair traces use plain names."""
+    header, columns = ["t"], [trace.times]
+    for (i, j), gap, critical in zip(trace.pairs, trace.gap, trace.critical):
+        header += [f"gap_{i}_{j}", f"critical_{i}_{j}"]
+        columns += [gap, critical]
     if len(trace.pairs) == 1:
         header = ["t", "gap", "critical"]
-    else:
-        header = ["t"]
-        for i, j in trace.pairs:
-            header += [f"gap_{i}_{j}", f"critical_{i}_{j}"]
-    columns = [trace.times]
-    for p in range(len(trace.pairs)):
-        columns += [trace.gap[p], trace.critical[p]]
     return header, columns
 
 

@@ -293,6 +293,21 @@ def test_trace_table_single_pair_schema():
     assert columns[0][0] == 0.0
 
 
+def test_trace_table_three_branch_schema():
+    branches = [
+        lambda t, v=v: GaussianPacket(v * t, 0.0, 1e-9, 1e-25) for v in (0.0, 1e-3, 3e-3)
+    ]
+    trace = order_parameter_trace(branches, "position", np.linspace(0, 1e-6, 4))
+    header, columns = trace_table(trace)
+    assert header == [
+        "t", "gap_0_1", "critical_0_1", "gap_0_2", "critical_0_2", "gap_1_2", "critical_1_2"
+    ]
+    assert np.array_equal(columns[0], trace.times)
+    for k in range(3):
+        assert np.array_equal(columns[2 * k + 1], trace.gap[k])
+        assert np.array_equal(columns[2 * k + 2], trace.critical[k])
+
+
 # --------------------------------------------------------------- classicize
 
 
