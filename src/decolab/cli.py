@@ -10,7 +10,8 @@ timestamps, byte-reproducible under a fixed seed) plus one
 <scenario>_<trace>.csv per trace when csv output is selected.  A trace is a
 header plus one array per column, printed through one row template per file.
 
-Exit codes: 0 success, 1 scenario error, 2 configuration error.
+Exit codes: 0 success, 1 scenario error (out of memory included), 2
+configuration error.
 """
 
 from __future__ import annotations
@@ -477,6 +478,9 @@ def main(argv: list[str] | None = None) -> int:
         written = emit(result, config)
     except (DecolabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     for path in written:
         print(f"wrote {path}")

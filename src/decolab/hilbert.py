@@ -52,7 +52,7 @@ class StateVector:
         if amps.ndim != 1 or amps.size == 0:
             raise EmptyInput("state vector needs a non-empty 1-d amplitude array")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(
                 f"amplitudes are not unit norm (|psi|^2 = {norm_sq!r}); use make_state"
             )
@@ -92,12 +92,12 @@ class OperatorMatrix:
         if m.size == 0 or not (diagonal or (m.ndim == 2 and m.shape[0] == m.shape[1])):
             raise DimensionMismatch(f"operator must be square or diagonal, got shape {m.shape}")
         adjoint = m.conj() if diagonal else m.conj().T
-        if self.hermitian and np.max(np.abs(m - adjoint)) > ALG_TOL * np.max(np.abs(m)):
+        if self.hermitian and not np.max(np.abs(m - adjoint)) <= ALG_TOL * np.max(np.abs(m)):
             raise NonHermitian("hermitian flag set but M != M^dagger")
         if self.unitary:
             defect = np.abs(m) ** 2 - 1.0 if diagonal else adjoint @ m - np.eye(m.shape[0])
             drift = np.max(np.abs(defect))
-            if drift >= NORM_TOL:
+            if not drift < NORM_TOL:
                 raise ValueError(f"unitary flag set but |M^dag M - 1| = {drift:g}")
         object.__setattr__(self, "entries", _frozen(m))
 
@@ -205,8 +205,9 @@ def expectation_and_deviation(op: OperatorMatrix, psi: StateVector) -> tuple[flo
     """Mean and standard deviation of a Hermitian observable.
 
     The variance <A^2> - <A>^2 can dip slightly below zero from rounding;
-    anything within -ALG_TOL is clamped to zero, anything worse is a bug in
-    the caller's operator and raises.
+    anything within -ALG_TOL <A^2> is clamped to zero, so the clamp does not
+    depend on the units of A.  Anything worse, or a NaN, is a bug in the
+    caller's operator and raises.
     """
     if not op.hermitian:
         raise NonHermitianDeviation("deviation is defined for Hermitian operators only")
@@ -216,7 +217,7 @@ def expectation_and_deviation(op: OperatorMatrix, psi: StateVector) -> tuple[flo
     mean = float(np.vdot(psi.amplitudes, a_psi).real)
     second = float(np.vdot(a_psi, a_psi).real)  # <A^2> via |A psi|^2, exact for Hermitian A
     variance = second - mean * mean
-    if variance < -ALG_TOL * max(1.0, second):
+    if not variance >= -ALG_TOL * second:
         raise NonHermitian(f"negative variance {variance:g} beyond rounding tolerance")
     return mean, float(np.sqrt(max(variance, 0.0)))
 

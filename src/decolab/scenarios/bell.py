@@ -10,11 +10,20 @@ terms, <X (x) Y> = sum_n w_n x_n y_n, and the classic algebra gives
 with the sign chosen by the caller.  A maximally entangled spin singlet
 evaluated exactly (no packet conditions) violates the bound up to 2 sqrt 2,
 which is the contrast this module is for.
+
+bell_evaluate builds one table of matrix elements <s_j|X|s_k> per
+observable and factor; the exact correlators, the branch-mean magnitudes and
+the cross-term-free correlators are all read from those tables, and the
+A1/A2 audit runs one check_a2 per observable.  Audited configurations place
+their packets on a fixed lattice of cells, so each cell's discretized packet
+is built once per grid and process and shared, read-only, by every branch
+that sits on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,11 +31,9 @@ from ..errors import ConditionViolated, DimensionMismatch, InvalidParameter
 from ..hilbert import OperatorMatrix, StateVector
 from ..supersystem import Branch, CorrelatedState
 from ..wavepacket import (
-    A1_RATIO,
     A2_OFFDIAG_FRAC,
     GaussianPacket,
     Grid1D,
-    check_a1,
     check_a2,
     discretize_gaussian,
 )
@@ -52,44 +59,42 @@ class BellReport:
     condition_min: float  # smallest branch-mean magnitude seen (audit diagnostics)
 
 
-def _branch_mean(op: OperatorMatrix, s: StateVector) -> float:
-    return float(np.vdot(s.amplitudes, op.apply(s.amplitudes)).real)
+def _element_table(states, op: OperatorMatrix) -> list[list[complex]]:
+    """E[j][k] = <s_j|op|s_k> over one factor's branch states."""
+    applied = [op.apply(s.amplitudes) for s in states]
+    return [[complex(np.vdot(sj.amplitudes, ak)) for ak in applied] for sj in states]
 
 
-def _pair_expectation(state: CorrelatedState, x: OperatorMatrix, y: OperatorMatrix) -> float:
-    """<X (x) Y> with all branch cross terms (exact)."""
-    n = len(state.branches)
-    c = state.coefficients
+def _exact_correlator(coeffs: np.ndarray, ex, ey) -> float:
+    """<X (x) Y> with all branch cross terms, from the two factors' tables."""
+    n = len(coeffs)
     total = 0.0 + 0.0j
     for j in range(n):
         for k in range(n):
-            s1j, s2j = state.branches[j].sub1, state.branches[j].sub2
-            s1k, s2k = state.branches[k].sub1, state.branches[k].sub2
-            m1 = complex(np.vdot(s1j.amplitudes, x.apply(s1k.amplitudes)))
-            m2 = complex(np.vdot(s2j.amplitudes, y.apply(s2k.amplitudes)))
-            total += np.conj(c[j]) * c[k] * m1 * m2
+            total += np.conj(coeffs[j]) * coeffs[k] * ex[j][k] * ey[j][k]
     return float(total.real)
 
 
-def _diagonal_pair(state: CorrelatedState, x: OperatorMatrix, y: OperatorMatrix) -> float:
-    """Cross-term-free correlator sum_n w_n <X>_n <Y>_n."""
+def _product_correlator(weights: np.ndarray, ex, ey) -> float:
+    """Cross-term-free correlator sum_n w_n <X>_n <Y>_n, from the tables' diagonals."""
     total = 0.0
-    for w, b in zip(state.weights, state.branches):
-        total += float(w) * _branch_mean(x, b.sub1) * _branch_mean(y, b.sub2)
+    for n, w in enumerate(weights):
+        total += float(w) * ex[n][n].real * ey[n][n].real
     return total
 
 
 def _audit_packet_conditions(state: CorrelatedState, obs) -> bool:
     """Sharp-packet (A1) and interference-free (A2) audit over the second basis.
 
+    One A2 report per observable supplies the means and deviations A1 reads.
     Only A2's off-diagonal inequality is required: dichotomic branches often
     share a mean, so A2's mean-gap test does not belong to this bound.
     """
     states2 = [b.sub2 for b in state.branches]
     for alpha in obs:
-        if not all(check_a1(s, alpha, A1_RATIO).passes_a1 for s in states2):
-            return False
         report = check_a2(states2, alpha)
+        if not np.all(report.passes_a1()):
+            return False
         means = np.abs(report.means)
         bound = A2_OFFDIAG_FRAC * np.maximum.outer(means, means)
         if np.any(report.off_diagonal_magnitude > bound):
@@ -105,45 +110,50 @@ def bell_evaluate(
 ) -> BellReport:
     """Evaluate |<A B> - <A D>| <= 2 +/- (<C D> + <C B>) on a branch state.
 
-    With enforce_approx=True the branch means of every observable on both
+    A and C act on the first factor and B and D on the second.  With
+    enforce_approx=True the branch means of every observable on both
     factors must reach magnitude 1 (ConditionViolated otherwise), the packet
     conditions are audited on the second basis, and all four correlators are
     computed cross-term-free.  With enforce_approx=False everything is exact,
     which is how the singlet's 2 sqrt 2 violation is exhibited.  chsh_value
-    is always the exact |<AB> - <AD> + <CB> + <CD>|.
+    is always the exact |<AB> - <AD> + <CB> + <CD>|.  Every correlator and
+    branch mean is read from one table of matrix elements <s_j|X|s_k> per
+    observable and factor.
     """
     if sign not in (1, -1):
         raise InvalidParameter("sign must be +1 or -1")
-    a, b, c, d = obs
-    for branch in state.branches:
-        if not isinstance(branch.sub1, StateVector) or not isinstance(branch.sub2, StateVector):
-            raise DimensionMismatch("bell_evaluate needs StateVector branch factors")
-    chsh_value = abs(
-        _pair_expectation(state, a, b)
-        - _pair_expectation(state, a, d)
-        + _pair_expectation(state, c, b)
-        + _pair_expectation(state, c, d)
-    )
+    factors = ([b.sub1 for b in state.branches], [b.sub2 for b in state.branches])
+    if not all(isinstance(s, StateVector) for states in factors for s in states):
+        raise DimensionMismatch("bell_evaluate needs StateVector branch factors")
+    # observable indices each factor needs: its own pair, or all four for the audit
+    needed = ((0, 1, 2, 3), (0, 1, 2, 3)) if enforce_approx else ((0, 2), (1, 3))
+    for states, indices in zip(factors, needed):
+        if any(obs[i].dim != s.dim for i in indices for s in states):
+            raise DimensionMismatch("observables must act on the factors they are paired with")
+    e1 = {i: _element_table(factors[0], obs[i]) for i in needed[0]}
+    e2 = {i: _element_table(factors[1], obs[i]) for i in needed[1]}
+    coeffs = state.coefficients
+    exact = {(x, y): _exact_correlator(coeffs, e1[x], e2[y]) for x in (0, 2) for y in (1, 3)}
+    chsh_value = abs(exact[0, 1] - exact[0, 3] + exact[2, 1] + exact[2, 3])
     condition_min = float("inf")
     if enforce_approx:
-        for alpha in obs:
-            for branch in state.branches:
-                for s in (branch.sub1, branch.sub2):
-                    if alpha.dim != s.dim:
-                        raise DimensionMismatch("observables must act on both factors")
-                    magnitude = abs(_branch_mean(alpha, s))
+        for i in range(4):
+            for n in range(len(coeffs)):
+                for table in (e1[i], e2[i]):
+                    magnitude = abs(table[n][n].real)
                     condition_min = min(condition_min, magnitude)
                     if magnitude < 1.0 - CONDITION_TOL:
                         raise ConditionViolated(
                             f"branch mean magnitude {magnitude:g} is below 1"
                         )
         approx_ok = _audit_packet_conditions(state, obs)
-        pair = _diagonal_pair
+        weights = state.weights
+        pair = {(x, y): _product_correlator(weights, e1[x], e2[y]) for x, y in exact}
     else:
         approx_ok = False
-        pair = _pair_expectation
-    lhs = abs(pair(state, a, b) - pair(state, a, d))
-    rhs = 2.0 + sign * (pair(state, c, d) + pair(state, c, b))
+        pair = exact
+    lhs = abs(pair[0, 1] - pair[0, 3])
+    rhs = 2.0 + sign * (pair[2, 3] + pair[2, 1])
     return BellReport(
         lhs=lhs,
         rhs=rhs,
@@ -187,21 +197,32 @@ def chsh_optimal_observables() -> tuple[OperatorMatrix, ...]:
 _CELL_COUNT = 7
 _CELL_SPACING = 4.0e-6
 _CELL_SIGMA = 2.0e-7
-
-
-def _default_grid() -> Grid1D:
-    return Grid1D(-1.4e-5, 1.4e-5, 1024)
+_CELL_MASS = 1.0e-25
+_DEFAULT_GRID = Grid1D(-1.4e-5, 1.4e-5, 1024)
 
 
 def _cell_center(i: int) -> float:
     return (i - (_CELL_COUNT - 1) / 2.0) * _CELL_SPACING
 
 
-def _step_observable(grid: Grid1D, signs: np.ndarray) -> OperatorMatrix:
+@lru_cache(maxsize=8 * _CELL_COUNT)
+def _cell_state(grid: Grid1D, i: int) -> StateVector:
+    """The discretized packet of lattice cell i; read-only, so branches share it."""
+    return discretize_gaussian(grid, GaussianPacket(_cell_center(i), 0.0, _CELL_SIGMA, _CELL_MASS))
+
+
+@lru_cache(maxsize=8)
+def _cell_index(grid: Grid1D) -> np.ndarray:
+    """The lattice cell nearest each grid point, clipped to the lattice."""
     idx = np.clip(
         np.rint((grid.xs - _cell_center(0)) / _CELL_SPACING).astype(int), 0, _CELL_COUNT - 1
     )
-    return OperatorMatrix(signs[idx], hermitian=True)
+    idx.flags.writeable = False
+    return idx
+
+
+def _step_observable(grid: Grid1D, signs: np.ndarray) -> OperatorMatrix:
+    return OperatorMatrix(signs[_cell_index(grid)], hermitian=True)
 
 
 def audited_configuration(seed: int, n_branches: int = 2, grid: Grid1D | None = None):
@@ -210,10 +231,11 @@ def audited_configuration(seed: int, n_branches: int = 2, grid: Grid1D | None = 
     Branch bases are Gaussian packets centered on distinct lattice cells (20
     sigma apart), observables take values +/-1 constant on each cell, and the
     branch weights stay away from degeneracy.  Returns (state, (A, B, C, D)).
+    Each cell's packet is discretized once per grid and process and shared.
     """
     if not 2 <= n_branches <= 3:
         raise InvalidParameter("audited configurations use 2 or 3 branches")
-    grid = grid or _default_grid()
+    grid = grid or _DEFAULT_GRID
     rng = np.random.Generator(np.random.PCG64(seed))
     cells1 = rng.choice(_CELL_COUNT, size=n_branches, replace=False)
     cells2 = rng.choice(_CELL_COUNT, size=n_branches, replace=False)
@@ -221,14 +243,14 @@ def audited_configuration(seed: int, n_branches: int = 2, grid: Grid1D | None = 
     weights = raw / np.sum(raw)
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n_branches))
     coeffs = np.sqrt(weights) * phases
-    branches = []
-    for n in range(n_branches):
-        p1 = GaussianPacket(_cell_center(int(cells1[n])), 0.0, _CELL_SIGMA, 1.0e-25)
-        p2 = GaussianPacket(_cell_center(int(cells2[n])), 0.0, _CELL_SIGMA, 1.0e-25)
-        branches.append(
-            Branch(complex(coeffs[n]), (discretize_gaussian(grid, p1), discretize_gaussian(grid, p2)))
+    branches = tuple(
+        Branch(
+            complex(coeffs[n]),
+            (_cell_state(grid, int(cells1[n])), _cell_state(grid, int(cells2[n]))),
         )
-    state = CorrelatedState(tuple(branches))
+        for n in range(n_branches)
+    )
+    state = CorrelatedState(branches)
     obs = tuple(
         _step_observable(grid, rng.choice(np.array([-1.0, 1.0]), size=_CELL_COUNT))
         for _ in range(4)

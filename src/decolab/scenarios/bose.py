@@ -31,10 +31,10 @@ class BoseConfig:
     temperatures: tuple  # K
 
     def __post_init__(self):
-        if self.mass <= 0 or self.spacing <= 0:
+        if not (self.mass > 0 and self.spacing > 0):
             raise NonPositiveInput("mass and spacing must be positive")
         temps = tuple(float(t) for t in self.temperatures)
-        if any(t <= 0 for t in temps):
+        if not all(t > 0 for t in temps):
             raise NonPositiveInput("temperatures must be positive")
         object.__setattr__(self, "temperatures", temps)
 
@@ -48,7 +48,7 @@ class BoseResult:
 
 def thermal_de_broglie(mass: float, temperature: float) -> float:
     """lambda = h / sqrt(m k_B T)."""
-    if mass <= 0 or temperature <= 0:
+    if not (mass > 0 and temperature > 0):
         raise NonPositiveInput("mass and temperature must be positive")
     return PLANCK_H / math.sqrt(mass * K_B * temperature)
 

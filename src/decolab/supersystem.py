@@ -109,15 +109,15 @@ class CorrelatedState:
         if len(n_factors) != 1:
             raise DimensionMismatch("all branches must carry the same number of factors")
         total = sum(abs(b.coefficient) ** 2 for b in branches)
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise ValueError(f"branch weights sum to {total!r}, expected 1")
         if self.orthonormal_labels:
             for i in range(len(branches)):
                 for j in range(i + 1, len(branches)):
-                    if abs(_overlap(branches[i].sub1, branches[j].sub1)) >= NORM_TOL:
+                    if not abs(_overlap(branches[i].sub1, branches[j].sub1)) < NORM_TOL:
                         raise ValueError(f"label states of branches {i}, {j} are not orthogonal")
                     if branches[i].subE is not None:
-                        if abs(_overlap(branches[i].subE, branches[j].subE)) >= NORM_TOL:
+                        if not abs(_overlap(branches[i].subE, branches[j].subE)) < NORM_TOL:
                             raise ValueError(
                                 f"environment states of branches {i}, {j} are not orthogonal"
                             )
@@ -133,7 +133,7 @@ class CorrelatedState:
                         prod *= cache[key]
                         if abs(prod) < NORM_TOL:
                             break
-                    if abs(prod) >= NORM_TOL:
+                    if not abs(prod) < NORM_TOL:
                         raise ValueError(f"branches {i}, {j} are not orthogonal as products")
         object.__setattr__(self, "branches", branches)
 
@@ -154,7 +154,7 @@ class SecondKindMixture:
 
     def __post_init__(self):
         total = sum(w for w, _, _ in self.components)
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise ValueError(f"mixture weights sum to {total!r}, expected 1")
 
 
@@ -186,7 +186,7 @@ class InteractionHamiltonian:
         bound = COMMUTATOR_TOL * np.max(np.abs(h1)) * np.max(np.abs(v1))
         if not comm <= bound:
             raise ValueError(f"max|[H1, V1]| = {comm:g} exceeds {bound:g}")
-        if self.mass <= 0:
+        if not self.mass > 0:
             raise ValueError("mass must be positive")
         eigen = np.linalg.eigvalsh(self.v1.entries)
         scale = max(float(np.max(np.abs(eigen))), 1e-300)
@@ -305,7 +305,7 @@ def symmetrize_bose(states: Sequence[StateVector]) -> CorrelatedState:
         raise TooManyParticles(f"{n} particles would need {math.factorial(n)} branches")
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(states[i].overlap(states[j])) >= NORM_TOL:
+            if not abs(states[i].overlap(states[j])) < NORM_TOL:
                 raise ValueError(f"input states {i}, {j} are not orthogonal")
     coeff = 1.0 / math.sqrt(math.factorial(n))
     branches = tuple(

@@ -17,6 +17,7 @@ DFT to the hbar k basis) without forming a matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,9 +62,12 @@ class Grid1D:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / (self.n_points - 1)
 
-    @property
+    @cached_property
     def xs(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
+        """The grid points, built once per grid and read-only."""
+        xs = np.linspace(self.x_min, self.x_max, self.n_points)
+        xs.flags.writeable = False
+        return xs
 
 
 @dataclass(frozen=True)
@@ -144,6 +148,15 @@ class InterferenceReport:
         mask = ~np.eye(n, dtype=bool)
         return bool(np.all(self.passes_a2[mask]))
 
+    def passes_a1(self, ratio_threshold: float = A1_RATIO) -> np.ndarray:
+        """Condition A1 for each state, read from the means and deviations."""
+        return _a1_holds(self.means, self.deviations, ratio_threshold)
+
+
+def _a1_holds(mean, deviation, ratio_threshold: float):
+    """|<A>| >= ratio_threshold * dA, elementwise for arrays."""
+    return np.abs(mean) >= ratio_threshold * deviation
+
 
 def packet_overlap(a: GaussianPacket, b: GaussianPacket) -> complex:
     """Analytic <a|b> for two Gaussian packets (continuum inner product).
@@ -210,7 +223,7 @@ def check_a1(psi: StateVector, op: OperatorMatrix, ratio_threshold: float = A1_R
     passes iff |<A>| >= ratio_threshold * dA.  Eigenstates (dA = 0) report an
     infinite ratio and pass.
     """
-    if ratio_threshold <= 1.0:
+    if not ratio_threshold > 1.0:
         raise ValueError("ratio_threshold must exceed 1")
     if not op.hermitian:
         raise NonHermitian("condition A1 needs a Hermitian observable")
@@ -221,7 +234,7 @@ def check_a1(psi: StateVector, op: OperatorMatrix, ratio_threshold: float = A1_R
         mean=mean,
         deviation=dev,
         ratio=ratio,
-        passes_a1=bool(abs(mean) >= ratio_threshold * dev),
+        passes_a1=bool(_a1_holds(mean, dev, ratio_threshold)),
     )
 
 

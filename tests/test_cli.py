@@ -14,6 +14,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from decolab.cli import RunConfig, ScenarioResult, emit, main, parse_config, run
+from decolab.constants import HBAR
 from decolab.errors import ConfigError, TypeMismatch, UnknownKey
 
 
@@ -429,3 +430,33 @@ def test_main_invalid_parameter_exit_one(tmp_path, capsys, argv):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not (out / "summary.json").exists()
+
+
+def test_main_out_of_memory_exit_one(tmp_path, capsys, monkeypatch):
+    # an allocation NumPy refuses (a huge --n-steps) raises MemoryError;
+    # stand it in for the real allocation rather than attempt one
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr("decolab.cli.sg_run", refuse)
+    out = tmp_path / "oom"
+    assert main(["sterngerlach", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate")
+    assert "Traceback" not in err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("k", [-25, -10, 0, 10, 25])
+def test_wavepacket_check_verdict_is_scale_free(k):
+    # every length x 10^k: x0 / sigma stays 50, dx dp stays hbar / 2
+    scale = 10.0**k
+    lengths = {"x0": 1.0e-6, "sigma": 2.0e-8, "grid-min": -2.0e-6, "grid-max": 4.0e-6}
+    argv = ["wavepacket-check"]
+    for key, value in lengths.items():
+        argv.append(f"--{key}={value * scale!r}")
+    config = parse_config(argv)
+    summary = run(config).summary
+    assert math.isclose(summary["ratio"], 50.0, rel_tol=6e-13)
+    assert math.isclose(summary["uncertainty_product"] / (0.5 * HBAR), 1.0, rel_tol=6e-13)
+    assert summary["passes_a1"] is True  # as at k = 0

@@ -96,6 +96,8 @@ def test_make_state_rejects_empty_and_zero():
 def test_state_vector_rejects_unnormalized():
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 1.0], dtype=complex))
+    with pytest.raises(ValueError):  # a NaN norm fails the accept test
+        StateVector(np.array([np.nan, 0.0], dtype=complex))
 
 
 def test_state_vector_amplitudes_frozen():
@@ -119,6 +121,13 @@ def test_operator_matrix_flag_guards():
     with pytest.raises(DimensionMismatch):
         OperatorMatrix(np.array([], dtype=complex))
     assert OperatorMatrix(np.exp(1j * np.array([0.3, 2.0])), unitary=True).dim == 2
+    # NaN entries fail both flags' accept tests; the all-zero operator is Hermitian
+    for entries in (np.array([[np.nan, 1.0], [1.0, 0.0]]), np.array([np.nan, 1.0])):
+        with pytest.raises(NonHermitian):
+            OperatorMatrix(entries, hermitian=True)
+        with pytest.raises(ValueError):
+            OperatorMatrix(entries, unitary=True)
+    assert OperatorMatrix(np.zeros((2, 2)), hermitian=True).hermitian
 
 
 @seed(16)
@@ -140,6 +149,39 @@ def test_hermitian_flag_is_scale_free(dim, exponent, key):
     assert OperatorMatrix(nearly, hermitian=True).hermitian
     with pytest.raises(NonHermitian):
         OperatorMatrix((hermitian + 1e-6 * unit * skew) * scale, hermitian=True)
+
+
+def test_deviation_rejects_nan_variance():
+    # <A^2> overflows to inf and so does <A>^2: the variance is inf - inf
+    op = OperatorMatrix(np.array([1e200, 1.0]), hermitian=True)
+    with pytest.raises(NonHermitian):
+        expectation_and_deviation(op, make_state([1.0, 1.0]))
+
+
+@seed(23)
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.integers(min_value=2, max_value=MAX_DIM),
+    exponent=st.integers(min_value=-30, max_value=30),
+    key=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_variance_clamp_is_scale_free(dim, exponent, key):
+    # the top eigenvector of a positive Hermitian matrix has a variance of
+    # rounding size and either sign: it is clamped to a small deviation at
+    # any scale, and a spread state's deviation scales with the operator
+    rng = np.random.default_rng(key)
+    scale = 10.0**exponent
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    unit = raw @ raw.conj().T + np.eye(dim)
+    unit = 0.5 * (unit + unit.conj().T)
+    top = make_state(np.linalg.eigh(unit)[1][:, -1])
+    op = OperatorMatrix(unit * scale, hermitian=True)
+    mean, dev = expectation_and_deviation(op, top)
+    assert dev <= 1e-6 * abs(mean)
+    spread = make_state(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    _, dev_scaled = expectation_and_deviation(op, spread)
+    _, dev_unit = expectation_and_deviation(OperatorMatrix(unit, hermitian=True), spread)
+    assert math.isclose(dev_scaled / scale, dev_unit, rel_tol=1e-9)
 
 
 # ------------------------------------------------------------- projectors

@@ -14,10 +14,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from decolab.collapse import split_seed
-from decolab.errors import ConditionViolated
-from decolab.hilbert import OperatorMatrix, expectation, make_state
+from decolab.errors import ConditionViolated, DimensionMismatch
+from decolab.hilbert import OperatorMatrix, StateVector, expectation, make_state
 from decolab.scenarios.bell import (
+    BOUND_TOL,
+    CONDITION_TOL,
     TSIRELSON,
+    BellReport,
     audited_configuration,
     bell_evaluate,
     chsh_optimal_observables,
@@ -25,6 +28,15 @@ from decolab.scenarios.bell import (
     spin_observable,
 )
 from decolab.supersystem import Branch, CorrelatedState
+from decolab.wavepacket import (
+    A1_RATIO,
+    A2_OFFDIAG_FRAC,
+    GaussianPacket,
+    Grid1D,
+    check_a1,
+    check_a2,
+    discretize_gaussian,
+)
 
 CHSH_TOL = 1e-9
 N_AUDITED = 20
@@ -170,3 +182,142 @@ def test_optimal_observables_are_four_distinct_directions():
     assert len(obs) == 4
     flat = [tuple(np.round(o.entries.flatten(), 12)) for o in obs]
     assert len(set(flat)) == 4
+
+
+# ------------------------------------------------- per-element oracle
+#
+# The evaluator as it was before it read every correlator and branch mean
+# from one table of matrix elements per observable and factor: each
+# correlator recomputes its own <s_j|X|s_k>, and A1 runs check_a1 per state.
+
+
+def _branch_mean(op, s):
+    return float(np.vdot(s.amplitudes, op.apply(s.amplitudes)).real)
+
+
+def _pair_expectation(state, x, y):
+    n = len(state.branches)
+    c = state.coefficients
+    total = 0.0 + 0.0j
+    for j in range(n):
+        for k in range(n):
+            s1j, s2j = state.branches[j].sub1, state.branches[j].sub2
+            s1k, s2k = state.branches[k].sub1, state.branches[k].sub2
+            m1 = complex(np.vdot(s1j.amplitudes, x.apply(s1k.amplitudes)))
+            m2 = complex(np.vdot(s2j.amplitudes, y.apply(s2k.amplitudes)))
+            total += np.conj(c[j]) * c[k] * m1 * m2
+    return float(total.real)
+
+
+def _diagonal_pair(state, x, y):
+    total = 0.0
+    for w, b in zip(state.weights, state.branches):
+        total += float(w) * _branch_mean(x, b.sub1) * _branch_mean(y, b.sub2)
+    return total
+
+
+def _audit_oracle(state, obs):
+    states2 = [b.sub2 for b in state.branches]
+    for alpha in obs:
+        if not all(check_a1(s, alpha, A1_RATIO).passes_a1 for s in states2):
+            return False
+        report = check_a2(states2, alpha)
+        means = np.abs(report.means)
+        bound = A2_OFFDIAG_FRAC * np.maximum.outer(means, means)
+        if np.any(report.off_diagonal_magnitude > bound):
+            return False
+    return True
+
+
+def bell_oracle(state, obs, sign=1, enforce_approx=True):
+    a, b, c, d = obs
+    chsh_value = abs(
+        _pair_expectation(state, a, b)
+        - _pair_expectation(state, a, d)
+        + _pair_expectation(state, c, b)
+        + _pair_expectation(state, c, d)
+    )
+    condition_min = float("inf")
+    if enforce_approx:
+        for alpha in obs:
+            for branch in state.branches:
+                for s in (branch.sub1, branch.sub2):
+                    magnitude = abs(_branch_mean(alpha, s))
+                    condition_min = min(condition_min, magnitude)
+                    if magnitude < 1.0 - CONDITION_TOL:
+                        raise ConditionViolated(f"branch mean magnitude {magnitude:g} is below 1")
+        approx_ok = _audit_oracle(state, obs)
+        pair = _diagonal_pair
+    else:
+        approx_ok = False
+        pair = _pair_expectation
+    lhs = abs(pair(state, a, b) - pair(state, a, d))
+    rhs = 2.0 + sign * (pair(state, c, d) + pair(state, c, b))
+    return BellReport(
+        lhs=lhs,
+        rhs=rhs,
+        satisfied=bool(lhs <= rhs + BOUND_TOL),
+        approx_conditions_met=bool(approx_ok),
+        chsh_value=float(chsh_value),
+        sign=sign,
+        condition_min=condition_min if condition_min != float("inf") else 0.0,
+    )
+
+
+@seed(16)
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.integers(min_value=0, max_value=2**64 - 1),
+    n_branches=st.sampled_from([2, 3]),
+    sign=st.sampled_from([1, -1]),
+)
+def test_tables_match_per_element_oracle_bit_for_bit(key, n_branches, sign):
+    state, obs = audited_configuration(key, n_branches=n_branches)
+    for enforce_approx in (True, False):
+        report = bell_evaluate(state, obs, sign=sign, enforce_approx=enforce_approx)
+        assert repr(report) == repr(bell_oracle(state, obs, sign, enforce_approx))
+
+
+@seed(17)
+@settings(max_examples=60, deadline=None)
+@given(
+    angles=st.lists(st.floats(min_value=0.0, max_value=2 * math.pi), min_size=4, max_size=4),
+    sign=st.sampled_from([1, -1]),
+)
+def test_singlet_tables_match_per_element_oracle_bit_for_bit(angles, sign):
+    for obs in (chsh_optimal_observables(), tuple(spin_observable(t) for t in angles)):
+        report = bell_evaluate(singlet_state(), obs, sign=sign, enforce_approx=False)
+        oracle = bell_oracle(singlet_state(), obs, sign, enforce_approx=False)
+        assert repr(report) == repr(oracle)
+
+
+def test_observable_dimension_is_checked_before_any_product():
+    state, obs = audited_configuration(5)
+    small = spin_observable(0.3)
+    for position in range(4):
+        mixed = tuple(small if i == position else op for i, op in enumerate(obs))
+        for enforce_approx in (True, False):
+            with pytest.raises(DimensionMismatch):
+                bell_evaluate(state, mixed, enforce_approx=enforce_approx)
+
+
+@pytest.mark.parametrize("n_branches", [2, 3])
+def test_audited_branch_states_are_shared_fresh_packets(n_branches):
+    # every branch factor is, bit for bit, a fresh discretization of one
+    # lattice cell's packet (cells 4 um apart, sigma 0.2 um, on the default
+    # grid), and its amplitudes cannot be written through
+    grid = Grid1D(-1.4e-5, 1.4e-5, 1024)
+    cells = [
+        discretize_gaussian(grid, GaussianPacket((i - 3) * 4.0e-6, 0.0, 2.0e-7, 1.0e-25))
+        for i in range(7)
+    ]
+    for key in range(12):
+        state, _ = audited_configuration(split_seed(4242, key), n_branches=n_branches)
+        for branch in state.branches:
+            for factor in branch.factors:
+                assert isinstance(factor, StateVector)
+                matches = [c for c in cells if np.array_equal(c.amplitudes, factor.amplitudes)]
+                assert len(matches) == 1
+                assert not factor.amplitudes.flags.writeable
+                with pytest.raises(ValueError):
+                    factor.amplitudes[0] = 0.0

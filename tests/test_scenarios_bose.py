@@ -50,6 +50,10 @@ def test_wavelength_rejects_nonpositive_inputs():
         thermal_de_broglie(MASS_RB87, 0.0)
     with pytest.raises(NonPositiveInput):
         thermal_de_broglie(-1e-25, 1e-6)
+    with pytest.raises(NonPositiveInput):
+        thermal_de_broglie(MASS_RB87, math.nan)
+    with pytest.raises(NonPositiveInput):
+        thermal_de_broglie(math.nan, 1e-6)
 
 
 # ---------------------------------------------------------------- threshold
@@ -124,3 +128,7 @@ def test_config_validation():
         BoseConfig(mass=MASS_RB87, spacing=0.0, temperatures=(1e-6,))
     with pytest.raises(NonPositiveInput):
         BoseConfig(mass=MASS_RB87, spacing=1e-7, temperatures=(1e-6, -1e-6))
+    for bad in ({"mass": math.nan}, {"spacing": math.nan}, {"temperatures": (1e-6, math.nan)}):
+        fields = {"mass": MASS_RB87, "spacing": 1e-7, "temperatures": (1e-6,), **bad}
+        with pytest.raises(NonPositiveInput):
+            BoseConfig(**fields)

@@ -40,6 +40,7 @@ from decolab.supersystem import (
     Branch,
     CorrelatedState,
     InteractionHamiltonian,
+    SecondKindMixture,
     branch_evolve,
     decay_mixture,
     hamiltonian_apply,
@@ -100,6 +101,13 @@ def test_correlated_state_rejects_bad_total_weight():
         CorrelatedState(
             branches=(
                 Branch(0.5, (make_state([1.0, 0.0]), make_state([1.0, 0.0]))),
+                Branch(0.5, (make_state([0.0, 1.0]), make_state([0.0, 1.0]))),
+            )
+        )
+    with pytest.raises(ValueError):  # a NaN sum fails the accept test
+        CorrelatedState(
+            branches=(
+                Branch(complex(np.nan), (make_state([1.0, 0.0]), make_state([1.0, 0.0]))),
                 Branch(0.5, (make_state([0.0, 1.0]), make_state([0.0, 1.0]))),
             )
         )
@@ -300,6 +308,13 @@ def test_affinity_guard_checks_the_window_of_every_sample_time():
     times = np.linspace(0.0, cfg.t_max, cfg.n_steps + 1)
     with pytest.raises(NonlinearPotential):
         order_parameter_trace(branches, "position", times)
+
+
+def test_second_kind_mixture_rejects_bad_total_weight():
+    with pytest.raises(ValueError):
+        SecondKindMixture(((0.5, None, None), (0.25, None, None)))
+    with pytest.raises(ValueError):  # a NaN sum fails the accept test
+        SecondKindMixture(((np.nan, None, None), (0.5, None, None)))
 
 
 @pytest.mark.parametrize(

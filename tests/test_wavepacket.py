@@ -55,6 +55,27 @@ def test_grid_spacing_and_axis():
     assert g.xs[0] == 0.0 and abs(g.xs[-1] - 1.0) < 1e-15
 
 
+@seed(18)
+@settings(max_examples=60, deadline=None)
+@given(
+    x_min=st.floats(min_value=-1.0, max_value=1.0),
+    width=st.floats(min_value=1e-3, max_value=10.0),
+    exponent=st.integers(min_value=-30, max_value=30),
+    n_points=st.integers(min_value=16, max_value=5000),
+)
+def test_grid_points_are_linspace_built_once_and_read_only(x_min, width, exponent, n_points):
+    scale = 10.0**exponent
+    g = Grid1D(x_min * scale, (x_min + width) * scale, n_points)
+    assert np.array_equal(g.xs, np.linspace(g.x_min, g.x_max, g.n_points))
+    assert g.xs is g.xs
+    assert not g.xs.flags.writeable
+    with pytest.raises(ValueError):
+        g.xs[0] = 1.0
+    # equal grids stay equal and hash alike once one has built its points
+    twin = Grid1D(g.x_min, g.x_max, g.n_points)
+    assert g == twin and hash(g) == hash(twin)
+
+
 def test_grid_rejects_tiny_point_counts():
     with pytest.raises(ValueError):
         Grid1D(0.0, 1.0, 8)
