@@ -205,24 +205,25 @@ def _cell_center(i: int) -> float:
     return (i - (_CELL_COUNT - 1) / 2.0) * _CELL_SPACING
 
 
-@lru_cache(maxsize=8 * _CELL_COUNT)
-def _cell_state(grid: Grid1D, i: int) -> StateVector:
-    """The discretized packet of lattice cell i; read-only, so branches share it."""
-    return discretize_gaussian(grid, GaussianPacket(_cell_center(i), 0.0, _CELL_SIGMA, _CELL_MASS))
-
-
 @lru_cache(maxsize=8)
-def _cell_index(grid: Grid1D) -> np.ndarray:
-    """The lattice cell nearest each grid point, clipped to the lattice."""
+def _cell_layout(grid: Grid1D) -> tuple[tuple[StateVector, ...], np.ndarray]:
+    """Each lattice cell's discretized packet, and the cell nearest each grid point.
+
+    Both are read-only, so every branch and observable on the grid shares them.
+    """
+    states = tuple(
+        discretize_gaussian(grid, GaussianPacket(_cell_center(i), 0.0, _CELL_SIGMA, _CELL_MASS))
+        for i in range(_CELL_COUNT)
+    )
     idx = np.clip(
         np.rint((grid.xs - _cell_center(0)) / _CELL_SPACING).astype(int), 0, _CELL_COUNT - 1
     )
     idx.flags.writeable = False
-    return idx
+    return states, idx
 
 
-def _step_observable(grid: Grid1D, signs: np.ndarray) -> OperatorMatrix:
-    return OperatorMatrix(signs[_cell_index(grid)], hermitian=True)
+def _step_observable(cell_index: np.ndarray, signs: np.ndarray) -> OperatorMatrix:
+    return OperatorMatrix(signs[cell_index], hermitian=True)
 
 
 def audited_configuration(seed: int, n_branches: int = 2, grid: Grid1D | None = None):
@@ -235,7 +236,7 @@ def audited_configuration(seed: int, n_branches: int = 2, grid: Grid1D | None = 
     """
     if not 2 <= n_branches <= 3:
         raise InvalidParameter("audited configurations use 2 or 3 branches")
-    grid = grid or _DEFAULT_GRID
+    cell_states, cell_index = _cell_layout(grid or _DEFAULT_GRID)
     rng = np.random.Generator(np.random.PCG64(seed))
     cells1 = rng.choice(_CELL_COUNT, size=n_branches, replace=False)
     cells2 = rng.choice(_CELL_COUNT, size=n_branches, replace=False)
@@ -246,13 +247,13 @@ def audited_configuration(seed: int, n_branches: int = 2, grid: Grid1D | None = 
     branches = tuple(
         Branch(
             complex(coeffs[n]),
-            (_cell_state(grid, int(cells1[n])), _cell_state(grid, int(cells2[n]))),
+            (cell_states[cells1[n]], cell_states[cells2[n]]),
         )
         for n in range(n_branches)
     )
     state = CorrelatedState(branches)
     obs = tuple(
-        _step_observable(grid, rng.choice(np.array([-1.0, 1.0]), size=_CELL_COUNT))
+        _step_observable(cell_index, rng.choice(np.array([-1.0, 1.0]), size=_CELL_COUNT))
         for _ in range(4)
     )
     return state, obs

@@ -148,9 +148,9 @@ class InterferenceReport:
         mask = ~np.eye(n, dtype=bool)
         return bool(np.all(self.passes_a2[mask]))
 
-    def passes_a1(self, ratio_threshold: float = A1_RATIO) -> np.ndarray:
-        """Condition A1 for each state, read from the means and deviations."""
-        return _a1_holds(self.means, self.deviations, ratio_threshold)
+    def passes_a1(self) -> np.ndarray:
+        """Condition A1 at A1_RATIO for each state, read from the means and deviations."""
+        return _a1_holds(self.means, self.deviations, A1_RATIO)
 
 
 def _a1_holds(mean, deviation, ratio_threshold: float):

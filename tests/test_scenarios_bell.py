@@ -305,19 +305,27 @@ def test_observable_dimension_is_checked_before_any_product():
 def test_audited_branch_states_are_shared_fresh_packets(n_branches):
     # every branch factor is, bit for bit, a fresh discretization of one
     # lattice cell's packet (cells 4 um apart, sigma 0.2 um, on the default
-    # grid), and its amplitudes cannot be written through
+    # grid), its amplitudes cannot be written through, and every branch on
+    # the same cell holds the same object, across configurations too
     grid = Grid1D(-1.4e-5, 1.4e-5, 1024)
     cells = [
         discretize_gaussian(grid, GaussianPacket((i - 3) * 4.0e-6, 0.0, 2.0e-7, 1.0e-25))
         for i in range(7)
     ]
+    shared = {}
+    reuses = 0
     for key in range(12):
         state, _ = audited_configuration(split_seed(4242, key), n_branches=n_branches)
         for branch in state.branches:
             for factor in branch.factors:
                 assert isinstance(factor, StateVector)
-                matches = [c for c in cells if np.array_equal(c.amplitudes, factor.amplitudes)]
+                matches = [
+                    i for i, c in enumerate(cells) if np.array_equal(c.amplitudes, factor.amplitudes)
+                ]
                 assert len(matches) == 1
+                reuses += matches[0] in shared
+                assert shared.setdefault(matches[0], factor) is factor
                 assert not factor.amplitudes.flags.writeable
                 with pytest.raises(ValueError):
                     factor.amplitudes[0] = 0.0
+    assert reuses > 0
