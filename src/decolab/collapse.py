@@ -5,9 +5,8 @@ observable, the breaking transform W_eps reduces to diagonal phases
 c_n -> c_n exp(i eps |c_n|^2).  The inter-branch mean gap acts as an order
 parameter: once it crosses the critical value (the half-sum of branch
 spreads) the superposition is effectively broken and a single branch can be
-drawn with Born weight |c_n|^2.  classicize packages that decision rule; it
-returns the untouched input before the crossing time and a sampled product
-branch after it.
+drawn with Born weight |c_n|^2.  classicize is that decision rule: it draws
+nothing before the crossing time, and Born-sampled branch indices from it on.
 
 Sampling is inverse-CDF over the cumulative branch weights in branch order.
 Every trial of a run is drawn from one PCG64 stream seeded once, so runs are
@@ -22,9 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyTimes, NonPositiveInput
+from .errors import DimensionMismatch, EmptyTimes, InvalidParameter, NonPositiveInput
 from .hilbert import StateVector
-from .supersystem import CorrelatedState
 from .wavepacket import GaussianPacket
 
 # Branches lighter than this weight carry no observable phase and are
@@ -85,7 +83,7 @@ def _moments(packet: GaussianPacket, observable: str) -> tuple[float, float]:
         return packet.x0, packet.sigma_x
     if observable == "momentum":
         return packet.p0, packet.sigma_p
-    raise ValueError(f"unknown observable {observable!r}; use 'position' or 'momentum'")
+    raise InvalidParameter(f"unknown observable {observable!r}; use 'position' or 'momentum'")
 
 
 def _first_crossing(times: np.ndarray, diff: np.ndarray) -> float | None:
@@ -115,7 +113,7 @@ def order_parameter_trace(
     if t.size == 0:
         raise EmptyTimes("need at least one sample time")
     if t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
-        raise ValueError("times must be strictly increasing starting at 0")
+        raise InvalidParameter("times must be strictly increasing starting at 0")
     n = len(branches)
     if n < 2:
         raise DimensionMismatch("order parameter needs at least two branches")
@@ -159,66 +157,25 @@ def sample_collapse(psi: StateVector, n_trials: int, seed: int) -> np.ndarray:
     return np.minimum(np.searchsorted(cumulative, u, side="right"), psi.dim - 1)
 
 
-def geometric_reduction(c_n: complex, full_width: float) -> tuple[float, float]:
-    """Reduced support width and draw probability for one branch.
-
-    A branch of amplitude c_n occupies the fraction |c_n|^2 of the full
-    configuration-volume width, so the geometric draw probability (reduced
-    over full) equals the Born weight.
-    """
-    if full_width <= 0.0:
-        raise ValueError("full_width must be positive")
-    weight = abs(c_n) ** 2
-    if weight > 1.0 + 1e-12:
-        raise ValueError("|c_n| cannot exceed 1")
-    reduced = weight * full_width
-    return reduced, reduced / full_width
-
-
-@dataclass(frozen=True)
-class ExactState:
-    """Pre-critical result: the correlated state, untouched."""
-
-    state: CorrelatedState
-
-
-@dataclass(frozen=True)
-class CollapsedProduct:
-    """Post-critical result: one branch, now an uncorrelated product."""
-
-    branch_index: int
-    prior: float
-    factors: tuple
-    product: StateVector | None  # tensor of the factors when they are all StateVectors
-    seed: int
-
-
 def classicize(
-    correlated: CorrelatedState,
     trace: OrderParameterTrace,
     t: float,
+    psi: StateVector,
+    n_trials: int,
     seed: int,
-) -> ExactState | CollapsedProduct:
-    """Apply the order-parameter decision rule at time t.
+) -> np.ndarray | None:
+    """Apply the order-parameter decision rule at readout time t.
 
-    Before the crossing time (or when the trace never crosses) the exact
-    correlated state is returned as-is.  From tau onward one branch is drawn
-    with Born weight and returned as a product.
+    psi holds the branch coefficients in trace order.  Before the crossing
+    time, or when the trace never crosses, the exact state stands and None is
+    returned.  From tau onward n_trials branch indices are drawn with Born
+    weight, as sample_collapse(psi, n_trials, seed).
     """
-    if trace.n_branches != len(correlated.branches):
+    if trace.n_branches != psi.dim:
         raise DimensionMismatch("trace was computed for a different branch family")
     if trace.tau is None or t < trace.tau:
-        return ExactState(state=correlated)
-    coeff_state = StateVector(np.array([b.coefficient for b in correlated.branches]))
-    index = int(sample_collapse(coeff_state, 1, seed)[0])
-    branch = correlated.branches[index]
-    return CollapsedProduct(
-        branch_index=index,
-        prior=float(abs(branch.coefficient) ** 2),
-        factors=branch.factors,
-        product=branch.product(),
-        seed=int(seed),
-    )
+        return None
+    return sample_collapse(psi, n_trials, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyInput,
+    InvalidParameter,
     NonHermitian,
     NonHermitianDeviation,
     ZeroVector,
@@ -53,7 +54,7 @@ class StateVector:
             raise EmptyInput("state vector needs a non-empty 1-d amplitude array")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm_sq - 1.0) <= NORM_TOL:
-            raise ValueError(
+            raise InvalidParameter(
                 f"amplitudes are not unit norm (|psi|^2 = {norm_sq!r}); use make_state"
             )
         object.__setattr__(self, "amplitudes", _frozen(amps))
@@ -98,7 +99,7 @@ class OperatorMatrix:
             defect = np.abs(m) ** 2 - 1.0 if diagonal else adjoint @ m - np.eye(m.shape[0])
             drift = np.max(np.abs(defect))
             if not drift < NORM_TOL:
-                raise ValueError(f"unitary flag set but |M^dag M - 1| = {drift:g}")
+                raise InvalidParameter(f"unitary flag set but |M^dag M - 1| = {drift:g}")
         object.__setattr__(self, "entries", _frozen(m))
 
     @property

@@ -8,8 +8,8 @@ sigma0.  The position gap crosses the critical half-width sum at
     tau_c = sqrt(delta_z m / (mu_B beta_z)),
 
 which is ~1e-7 s for heavy-atom numbers.  sg_run traces the order parameter,
-locates the crossing numerically, and (once past it) samples collapse
-outcomes with Born weights |c_-|^2, |c_+|^2.
+locates the crossing numerically, and reads the beam out at t_max through
+collapse.classicize: Born weights |c_-|^2, |c_+|^2 once past the crossing.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..collapse import OrderParameterTrace, order_parameter_trace, sample_collapse
+from ..collapse import OrderParameterTrace, classicize, order_parameter_trace
 from ..constants import MASS_SILVER, MU_B
 from ..errors import InvalidParameter, NonPositiveInput, TMaxBeforeCritical
 from ..hilbert import OperatorMatrix, StateVector
@@ -124,27 +124,26 @@ class SGRunResult:
 
 
 def sg_run(config: SGConfig, n_trials: int, seed: int) -> SGRunResult:
-    """Trace the order parameter and sample collapse outcomes at t_max.
+    """Trace the order parameter and read the beam out at t_max with classicize.
 
-    When t_max falls before the crossing time a TMaxBeforeCritical warning is
-    issued and no outcomes are drawn; the exact branch weights stand in for
-    statistics.  n_trials must be at least 1 either way.
+    When t_max falls before the crossing time classicize draws nothing, a
+    TMaxBeforeCritical warning is issued, and the exact branch weights stand
+    in for statistics.  n_trials must be at least 1 either way.
     """
     if n_trials < 1:
         raise NonPositiveInput(f"n_trials must be at least 1, got {n_trials}")
     times = np.linspace(0.0, config.t_max, config.n_steps + 1)
     trace = order_parameter_trace(sg_branch_trajectories(config), "position", times)
-    state = sg_correlated_state(config)
-    weights = {label: float(w) for label, w in zip(BRANCH_LABELS, state.weights)}
-    counts = None
-    frequencies = None
-    if trace.tau is None or config.t_max < trace.tau:
+    psi = StateVector(np.array([config.c_minus, config.c_plus], dtype=complex))
+    weights = {label: float(w) for label, w in zip(BRANCH_LABELS, np.abs(psi.amplitudes) ** 2)}
+    drawn = classicize(trace, config.t_max, psi, n_trials, seed)
+    counts = frequencies = None
+    if drawn is None:
         warnings.warn(
             f"t_max = {config.t_max:g} s precedes the critical time; returning exact weights",
             TMaxBeforeCritical,
         )
     else:
-        drawn = sample_collapse(StateVector(state.coefficients), n_trials, seed)
         tally = np.bincount(drawn, minlength=len(BRANCH_LABELS)).tolist()
         counts = dict(zip(BRANCH_LABELS, tally))
         frequencies = {label: counts[label] / n_trials for label in BRANCH_LABELS}

@@ -25,9 +25,11 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     IndexOutOfRange,
+    InvalidParameter,
     MissingEnvironment,
     NonHermitian,
     NonlinearPotential,
+    NonPositiveInput,
     TooManyParticles,
 )
 from .hilbert import NORM_TOL, OperatorMatrix, StateVector, projector
@@ -110,15 +112,15 @@ class CorrelatedState:
             raise DimensionMismatch("all branches must carry the same number of factors")
         total = sum(abs(b.coefficient) ** 2 for b in branches)
         if not abs(total - 1.0) <= NORM_TOL:
-            raise ValueError(f"branch weights sum to {total!r}, expected 1")
+            raise InvalidParameter(f"branch weights sum to {total!r}, expected 1")
         if self.orthonormal_labels:
             for i in range(len(branches)):
                 for j in range(i + 1, len(branches)):
                     if not abs(_overlap(branches[i].sub1, branches[j].sub1)) < NORM_TOL:
-                        raise ValueError(f"label states of branches {i}, {j} are not orthogonal")
+                        raise InvalidParameter(f"label states of branches {i}, {j} are not orthogonal")
                     if branches[i].subE is not None:
                         if not abs(_overlap(branches[i].subE, branches[j].subE)) < NORM_TOL:
-                            raise ValueError(
+                            raise InvalidParameter(
                                 f"environment states of branches {i}, {j} are not orthogonal"
                             )
         else:
@@ -134,7 +136,7 @@ class CorrelatedState:
                         if abs(prod) < NORM_TOL:
                             break
                     if not abs(prod) < NORM_TOL:
-                        raise ValueError(f"branches {i}, {j} are not orthogonal as products")
+                        raise InvalidParameter(f"branches {i}, {j} are not orthogonal as products")
         object.__setattr__(self, "branches", branches)
 
     @property
@@ -155,7 +157,7 @@ class SecondKindMixture:
     def __post_init__(self):
         total = sum(w for w, _, _ in self.components)
         if not abs(total - 1.0) <= NORM_TOL:
-            raise ValueError(f"mixture weights sum to {total!r}, expected 1")
+            raise InvalidParameter(f"mixture weights sum to {total!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -185,9 +187,9 @@ class InteractionHamiltonian:
         comm = np.max(np.abs(h1 @ v1 - v1 @ h1))
         bound = COMMUTATOR_TOL * np.max(np.abs(h1)) * np.max(np.abs(v1))
         if not comm <= bound:
-            raise ValueError(f"max|[H1, V1]| = {comm:g} exceeds {bound:g}")
+            raise InvalidParameter(f"max|[H1, V1]| = {comm:g} exceeds {bound:g}")
         if not self.mass > 0:
-            raise ValueError("mass must be positive")
+            raise NonPositiveInput("mass must be positive")
         eigen = np.linalg.eigvalsh(self.v1.entries)
         scale = max(float(np.max(np.abs(eigen))), 1e-300)
         if eigen.size > 1 and float(np.min(np.diff(eigen))) < DEGENERACY_RTOL * scale:
@@ -306,18 +308,13 @@ def symmetrize_bose(states: Sequence[StateVector]) -> CorrelatedState:
     for i in range(n):
         for j in range(i + 1, n):
             if not abs(states[i].overlap(states[j])) < NORM_TOL:
-                raise ValueError(f"input states {i}, {j} are not orthogonal")
+                raise InvalidParameter(f"input states {i}, {j} are not orthogonal")
     coeff = 1.0 / math.sqrt(math.factorial(n))
     branches = tuple(
         Branch(coeff, tuple(states[k] for k in perm))
         for perm in itertools.permutations(range(n))
     )
     return CorrelatedState(branches, orthonormal_labels=(n <= 2))
-
-
-def decay_mixture(state: CorrelatedState) -> tuple:
-    """Classical counterpart of a symmetrized state: (weight, factors) pairs."""
-    return tuple((float(abs(b.coefficient) ** 2), b.factors) for b in state.branches)
 
 
 def to_product_vector(state: CorrelatedState) -> np.ndarray:

@@ -224,7 +224,7 @@ def check_a1(psi: StateVector, op: OperatorMatrix, ratio_threshold: float = A1_R
     infinite ratio and pass.
     """
     if not ratio_threshold > 1.0:
-        raise ValueError("ratio_threshold must exceed 1")
+        raise InvalidParameter("ratio_threshold must exceed 1")
     if not op.hermitian:
         raise NonHermitian("condition A1 needs a Hermitian observable")
     mean, dev = expectation_and_deviation(op, psi)

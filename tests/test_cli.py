@@ -416,11 +416,13 @@ def test_main_fewer_than_one_trial_exit_one(tmp_path, capsys, scenario, n_trials
         ["bell", "--mode", "audited", "--n-branches", "4"],
         ["bell", "--mode", "audited", "--n-configs", "-2"],
         ["bell", "--mode", "audited", "--n-configs", "0"],
+        ["sterngerlach", "--t-max", "5e-324", "--n-steps", "2"],
     ],
     ids=[
         "sg-beta-z", "sg-mass", "sg-n-steps", "sg-c-minus", "sg-pre-tau-n-trials",
         "wp-sigma", "wp-mass", "wp-grid-points",
         "bell-sign", "bell-n-branches", "bell-n-configs-negative", "bell-n-configs-zero",
+        "sg-t-max-subnormal",
     ],
 )
 def test_main_invalid_parameter_exit_one(tmp_path, capsys, argv):

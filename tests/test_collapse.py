@@ -17,13 +17,10 @@ from hypothesis import strategies as st
 
 from decolab.collapse import (
     PHASE_WEIGHT_FLOOR,
-    CollapsedProduct,
-    ExactState,
     OrderParameterTrace,
     approx_w_transform,
     classicize,
     decoherence_phase_spread,
-    geometric_reduction,
     order_parameter_trace,
     outcomes_to_jsonl,
     sample_collapse,
@@ -32,7 +29,6 @@ from decolab.collapse import (
 )
 from decolab.errors import DimensionMismatch, EmptyTimes
 from decolab.hilbert import apply_w, make_state
-from decolab.supersystem import Branch, CorrelatedState
 from decolab.wavepacket import GaussianPacket
 
 SAMPLING_TRIALS = 100_000
@@ -195,26 +191,6 @@ def test_split_seed_schedule_is_collision_free():
     assert all(0 <= s < 2**64 for s in seeds)
 
 
-# ------------------------------------------------------ geometric reduction
-
-
-def test_geometric_reduction_examples():
-    assert geometric_reduction(1.0, 2.0) == (2.0, 1.0)
-    red, prob = geometric_reduction(1.0 / math.sqrt(2.0), 1e-9)
-    assert math.isclose(red, 0.5e-9, rel_tol=1e-12)
-    assert math.isclose(prob, 0.5, rel_tol=1e-12)
-
-
-def test_geometric_reduction_probabilities_sum_to_one():
-    rng = np.random.default_rng(8)
-    psi = make_state(rng.normal(size=5) + 1j * rng.normal(size=5))
-    probs = [geometric_reduction(c, 1.0)[1] for c in psi.amplitudes]
-    assert math.isclose(sum(probs), 1.0, abs_tol=1e-12)
-    # same weights as the sampler uses
-    for c, p in zip(psi.amplitudes, probs):
-        assert math.isclose(p, abs(c) ** 2, rel_tol=1e-12)
-
-
 # ------------------------------------------------------------------- traces
 
 
@@ -311,15 +287,6 @@ def test_trace_table_three_branch_schema():
 # --------------------------------------------------------------- classicize
 
 
-def two_branch_state(c0: float, c1: float) -> CorrelatedState:
-    return CorrelatedState(
-        branches=(
-            Branch(c0, (make_state([1.0, 0.0]), make_state([1.0, 0.0]))),
-            Branch(c1, (make_state([0.0, 1.0]), make_state([0.0, 1.0]))),
-        )
-    )
-
-
 def synthetic_trace(tau: float | None, n_branches: int = 2) -> OrderParameterTrace:
     times = np.array([0.0, 1.0])
     return OrderParameterTrace(
@@ -335,55 +302,42 @@ def synthetic_trace(tau: float | None, n_branches: int = 2) -> OrderParameterTra
 
 
 def test_classicize_before_tau_returns_same_object():
-    state = two_branch_state(math.sqrt(0.5), math.sqrt(0.5))
-    out = classicize(state, synthetic_trace(0.5), t=0.25, seed=3)
-    assert isinstance(out, ExactState)
-    assert out.state is state
+    """Before tau nothing is drawn: the exact state stands as given."""
+    psi = make_state([math.sqrt(0.5), math.sqrt(0.5)])
+    assert classicize(synthetic_trace(0.5), 0.25, psi, 100, seed=3) is None
 
 
 def test_classicize_no_crossing_never_collapses():
-    state = two_branch_state(math.sqrt(0.5), math.sqrt(0.5))
-    out = classicize(state, synthetic_trace(None), t=1e9, seed=3)
-    assert isinstance(out, ExactState)
+    psi = make_state([math.sqrt(0.5), math.sqrt(0.5)])
+    assert classicize(synthetic_trace(None), 1e9, psi, 100, seed=3) is None
 
 
 def test_classicize_at_and_after_tau_collapses():
-    state = two_branch_state(math.sqrt(0.8), math.sqrt(0.2))
-    at = classicize(state, synthetic_trace(0.5), t=0.5, seed=11)
-    assert isinstance(at, CollapsedProduct)
-    after = classicize(state, synthetic_trace(0.5), t=2.0, seed=11)
-    assert isinstance(after, CollapsedProduct)
-    assert after.branch_index == at.branch_index
-    assert after.prior in (pytest.approx(0.8), pytest.approx(0.2))
-    assert after.product is not None
-    assert after.product.dim == 4
+    psi = make_state([math.sqrt(0.8), math.sqrt(0.2)])
+    at = classicize(synthetic_trace(0.5), 0.5, psi, 100, seed=11)
+    after = classicize(synthetic_trace(0.5), 2.0, psi, 100, seed=11)
+    assert at is not None and after is not None
+    assert np.array_equal(at, after)
+    assert np.array_equal(after, sample_collapse(psi, 100, 11))
 
 
 def test_classicize_statistics_follow_weights():
-    state = two_branch_state(math.sqrt(0.5), math.sqrt(0.5))
-    trace = synthetic_trace(0.5)
+    psi = make_state([math.sqrt(0.5), math.sqrt(0.5)])
     n = 2000
-    ups = sum(
-        classicize(state, trace, 1.0, split_seed(31, i)).branch_index == 0
-        for i in range(n)
-    )
-    assert abs(ups / n - 0.5) <= binomial_ci(0.5, n)
+    drawn = classicize(synthetic_trace(0.5), 1.0, psi, n, seed=31)
+    assert abs(np.count_nonzero(drawn == 0) / n - 0.5) <= binomial_ci(0.5, n)
 
 
 def test_classicize_single_branch_certain():
-    state = CorrelatedState(
-        branches=(Branch(1.0, (make_state([1.0, 0.0]), make_state([0.0, 1.0]))),)
-    )
-    trace = synthetic_trace(0.5, n_branches=1)
-    out = classicize(state, trace, 1.0, seed=99)
-    assert isinstance(out, CollapsedProduct)
-    assert out.branch_index == 0 and out.prior == pytest.approx(1.0)
+    psi = make_state([1.0])
+    drawn = classicize(synthetic_trace(0.5, n_branches=1), 1.0, psi, 100, seed=99)
+    assert np.array_equal(drawn, np.zeros(100, dtype=int))
 
 
 def test_classicize_rejects_mismatched_trace():
-    state = two_branch_state(math.sqrt(0.5), math.sqrt(0.5))
+    psi = make_state([math.sqrt(0.5), math.sqrt(0.5)])
     with pytest.raises(DimensionMismatch):
-        classicize(state, synthetic_trace(0.5, n_branches=3), 1.0, seed=1)
+        classicize(synthetic_trace(0.5, n_branches=3), 1.0, psi, 100, seed=1)
 
 
 # ------------------------------------------------------------------- export

@@ -182,6 +182,18 @@ def test_run_warns_when_horizon_too_short():
     assert math.isclose(sum(result.weights.values()), 1.0, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("k", [-20, -10, 10, 20])
+def test_run_verdict_is_scale_free(k):
+    # tau_c depends on mass / beta_z only, so scaling both by 10^k must move
+    # neither the numeric crossing nor the readout drawn at t_max
+    cfg = SGConfig()
+    scaled = SGConfig(beta_z=cfg.beta_z * 10.0**k, mass=cfg.mass * 10.0**k)
+    base = sg_run(cfg, n_trials=500, seed=3)
+    result = sg_run(scaled, n_trials=500, seed=3)
+    assert math.isclose(result.tau_c_numeric, base.tau_c_numeric, rel_tol=5e-16)
+    assert result.counts == base.counts
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SGConfig(c_minus=1.0, c_plus=1.0)

@@ -42,7 +42,6 @@ from decolab.supersystem import (
     InteractionHamiltonian,
     SecondKindMixture,
     branch_evolve,
-    decay_mixture,
     hamiltonian_apply,
     residual_from_family,
     schrodinger_residual,
@@ -460,6 +459,8 @@ def test_symmetrize_three_particles_permutation_enumeration():
     states = [basis(3, n) for n in range(3)]
     sym = symmetrize_bose(states)
     assert len(sym.branches) == 6
+    assert len(sym.weights) == 6
+    assert np.allclose(sym.weights, 1.0 / 6.0, rtol=0.0, atol=1e-12)
     expected = np.zeros(27, dtype=complex)
     for perm in itertools.permutations(range(3)):
         term = np.kron(
@@ -476,14 +477,6 @@ def test_symmetrize_swap_invariance():
     forward = to_product_vector(symmetrize_bose([a, b, c]))
     swapped = to_product_vector(symmetrize_bose([b, a, c]))
     assert np.max(np.abs(forward - swapped)) < 1e-14
-
-
-def test_symmetrize_decay_mixture_equal_weights():
-    states = [basis(3, n) for n in range(3)]
-    mixture = decay_mixture(symmetrize_bose(states))
-    weights = [w for w, _ in mixture]
-    assert len(weights) == 6
-    assert np.allclose(weights, 1.0 / 6.0, atol=1e-12)
 
 
 def test_symmetrize_guards():
