@@ -6,6 +6,7 @@ diagonal correlators before the evaluator is trusted to report it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,13 @@ from hypothesis import strategies as st
 
 from decolab.collapse import split_seed
 from decolab.errors import ConditionViolated, DimensionMismatch
-from decolab.hilbert import OperatorMatrix, StateVector, expectation, make_state
+from decolab.hilbert import (
+    OperatorMatrix,
+    StateVector,
+    expectation,
+    expectation_and_deviation,
+    make_state,
+)
 from decolab.scenarios.bell import (
     BOUND_TOL,
     CONDITION_TOL,
@@ -221,11 +228,12 @@ def _audit_oracle(state, obs):
     for alpha in obs:
         if not all(check_a1(s, alpha, A1_RATIO).passes_a1 for s in states2):
             return False
-        report = check_a2(states2, alpha)
-        means = np.abs(report.means)
-        bound = A2_OFFDIAG_FRAC * np.maximum.outer(means, means)
-        if np.any(report.off_diagonal_magnitude > bound):
-            return False
+        means = [abs(_branch_mean(alpha, s)) for s in states2]
+        for i, si in enumerate(states2):
+            for j in range(i + 1, len(states2)):
+                element = abs(np.vdot(states2[j].amplitudes, alpha.apply(si.amplitudes)))
+                if element > A2_OFFDIAG_FRAC * max(means[i], means[j]):
+                    return False
     return True
 
 
@@ -329,3 +337,69 @@ def test_audited_branch_states_are_shared_fresh_packets(n_branches):
                 with pytest.raises(ValueError):
                     factor.amplitudes[0] = 0.0
     assert reuses > 0
+
+
+# ------------------------------------------------- A2 report reference
+#
+# check_a2 as a per-element computation: expectation_and_deviation per state
+# and one <s_j|A|s_i> per pair.
+
+
+def _a2_reference(states, op):
+    n = len(states)
+    means = np.zeros(n)
+    devs = np.zeros(n)
+    for i, s in enumerate(states):
+        means[i], devs[i] = expectation_and_deviation(op, s)
+    offdiag = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            element = np.vdot(states[j].amplitudes, op.apply(states[i].amplitudes))
+            offdiag[i, j] = offdiag[j, i] = abs(element)
+    gap = np.abs(means[:, None] - means[None, :])
+    threshold = 0.5 * (devs[:, None] + devs[None, :])
+    scale = np.maximum(np.abs(means)[:, None], np.abs(means)[None, :])
+    off_ok = offdiag <= A2_OFFDIAG_FRAC * scale
+    np.fill_diagonal(off_ok, True)
+    passes = (gap >= threshold) & off_ok
+    np.fill_diagonal(passes, True)
+    return {
+        "means": means,
+        "deviations": devs,
+        "pair_gap": gap,
+        "pair_threshold": threshold,
+        "off_diagonal_magnitude": offdiag,
+        "passes_off_diagonal": off_ok,
+        "passes_a2": passes,
+    }
+
+
+def _random_family(rng, kind, size):
+    if kind == "cells":
+        state, obs = audited_configuration(int(rng.integers(2**63)), n_branches=3)
+        factors = [b.sub2 for b in state.branches] + [b.sub1 for b in state.branches]
+        return factors[:size], obs[int(rng.integers(4))]
+    dim = int(rng.integers(2, 9))
+    states = [
+        make_state(rng.normal(size=dim) + 1j * rng.normal(size=dim)) for _ in range(size)
+    ]
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == "diagonal":
+        return states, OperatorMatrix(scale * rng.normal(size=dim), hermitian=True)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return states, OperatorMatrix(scale * (m + m.conj().T), hermitian=True)
+
+
+@seed(19)
+@settings(max_examples=80, deadline=None)
+@given(
+    key=st.integers(min_value=0, max_value=2**31 - 1),
+    kind=st.sampled_from(["diagonal", "dense", "cells"]),
+    size=st.integers(min_value=2, max_value=4),
+)
+def test_check_a2_matches_per_element_reference(key, kind, size):
+    states, op = _random_family(np.random.default_rng(key), kind, size)
+    report = check_a2(states, op)
+    expected = _a2_reference(states, op)
+    for f in dataclasses.fields(report):
+        assert np.array_equal(getattr(report, f.name), expected[f.name]), f.name
