@@ -143,7 +143,8 @@ def _convert(key: str, tag: str, raw):
         if tag == "float":
             return _finite(float(text))
         if tag == "int":
-            value = float(text)
+            # exact for integers of any size; forms like 1e3 go through float
+            value = int(text) if text.lstrip("+-").isdigit() else float(text)
             if value != int(value):
                 raise ValueError
             return int(value)

@@ -42,7 +42,7 @@ def split_seed(base: int, index: int) -> int:
 def approx_w_transform(psi: StateVector, eps: float) -> StateVector:
     """Diagonal phase form of the breaking transform: c_n -> c_n e^{i eps |c_n|^2}."""
     c = psi.amplitudes
-    return StateVector(c * np.exp(1j * eps * np.abs(c) ** 2), psi.basis_label)
+    return StateVector(c * np.exp(1j * eps * np.abs(c) ** 2))
 
 
 def decoherence_phase_spread(psi: StateVector, eps: float) -> float:
@@ -68,7 +68,6 @@ class OrderParameterTrace:
     over pairs, None if any pair never crosses.
     """
 
-    observable_name: str
     times: np.ndarray
     pairs: tuple
     gap: np.ndarray  # shape (n_pairs, n_times)
@@ -131,7 +130,6 @@ def order_parameter_trace(
         tau_nm.append(_first_crossing(t, gap[k] - critical[k]))
     tau = None if any(v is None for v in tau_nm) else max(tau_nm)
     return OrderParameterTrace(
-        observable_name=observable,
         times=t,
         pairs=pairs,
         gap=gap,

@@ -43,10 +43,9 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """A unit-norm complex vector, optionally tagged with a basis label."""
+    """A unit-norm complex vector."""
 
     amplitudes: np.ndarray
-    basis_label: str = ""
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -83,7 +82,6 @@ class OperatorMatrix:
     """
 
     entries: np.ndarray
-    units: str = ""
     hermitian: bool = False
     unitary: bool = False
 
@@ -141,7 +139,7 @@ class GaussDecomposition:
         return m
 
 
-def make_state(amplitudes, basis_label: str = "") -> StateVector:
+def make_state(amplitudes) -> StateVector:
     """Normalize a complex amplitude list into a StateVector.
 
     Relative phases are preserved exactly; only the overall scale is fixed.
@@ -152,13 +150,12 @@ def make_state(amplitudes, basis_label: str = "") -> StateVector:
     norm = float(np.linalg.norm(amps))
     if norm == 0.0:
         raise ZeroVector("cannot normalize the zero vector")
-    return StateVector(amps / norm, basis_label)
+    return StateVector(amps / norm)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product state |a> (x) |b>, index of b varying fastest."""
-    label = f"{a.basis_label}*{b.basis_label}" if (a.basis_label or b.basis_label) else ""
-    return StateVector(np.kron(a.amplitudes, b.amplitudes), label)
+    return StateVector(np.kron(a.amplitudes, b.amplitudes))
 
 
 def projector(psi: StateVector) -> OperatorMatrix:
@@ -191,7 +188,7 @@ def apply_w(psi: StateVector, chi: StateVector, eps: float) -> StateVector:
         out = chi.amplitudes.copy()
     else:
         out = chi.amplitudes + s * (np.exp(1j * eps) - 1.0) * psi.amplitudes
-    return StateVector(out, chi.basis_label)
+    return StateVector(out)
 
 
 def expectation(op: OperatorMatrix, psi: StateVector) -> complex:
@@ -202,14 +199,21 @@ def expectation(op: OperatorMatrix, psi: StateVector) -> complex:
     return val.real if op.hermitian else val
 
 
-def expectation_and_deviation(op: OperatorMatrix, psi: StateVector) -> tuple[float, float]:
-    """Mean and standard deviation of a Hermitian observable.
+def deviation_from_moments(mean: float, second: float) -> float:
+    """sqrt(<A^2> - <A>^2) of a Hermitian observable from its first two moments.
 
-    The variance <A^2> - <A>^2 can dip slightly below zero from rounding;
-    anything within -ALG_TOL <A^2> is clamped to zero, so the clamp does not
-    depend on the units of A.  Anything worse, or a NaN, is a bug in the
-    caller's operator and raises.
+    The variance can dip slightly below zero from rounding; anything within
+    -ALG_TOL <A^2> is clamped to zero, so the clamp does not depend on the
+    units of A.  Anything worse, or a NaN, is a bug in the operator and raises.
     """
+    variance = second - mean * mean
+    if not variance >= -ALG_TOL * second:
+        raise NonHermitian(f"negative variance {variance:g} beyond rounding tolerance")
+    return float(np.sqrt(max(variance, 0.0)))
+
+
+def expectation_and_deviation(op: OperatorMatrix, psi: StateVector) -> tuple[float, float]:
+    """Mean and standard deviation of a Hermitian observable (see deviation_from_moments)."""
     if not op.hermitian:
         raise NonHermitianDeviation("deviation is defined for Hermitian operators only")
     if op.dim != psi.dim:
@@ -217,10 +221,7 @@ def expectation_and_deviation(op: OperatorMatrix, psi: StateVector) -> tuple[flo
     a_psi = op.apply(psi.amplitudes)
     mean = float(np.vdot(psi.amplitudes, a_psi).real)
     second = float(np.vdot(a_psi, a_psi).real)  # <A^2> via |A psi|^2, exact for Hermitian A
-    variance = second - mean * mean
-    if not variance >= -ALG_TOL * second:
-        raise NonHermitian(f"negative variance {variance:g} beyond rounding tolerance")
-    return mean, float(np.sqrt(max(variance, 0.0)))
+    return mean, deviation_from_moments(mean, second)
 
 
 def gauss_decompose(psi: StateVector) -> GaussDecomposition:

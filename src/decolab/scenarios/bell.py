@@ -11,13 +11,12 @@ with the sign chosen by the caller.  A maximally entangled spin singlet
 evaluated exactly (no packet conditions) violates the bound up to 2 sqrt 2,
 which is the contrast this module is for.
 
-bell_evaluate builds one table of matrix elements <s_j|X|s_k> per
-observable and factor; the exact correlators, the branch-mean magnitudes and
-the cross-term-free correlators are all read from those tables, and the
-A1/A2 audit runs one check_a2 per observable.  Audited configurations place
-their packets on a fixed lattice of cells, so each cell's discretized packet
-is built once per grid and process and shared, read-only, by every branch
-that sits on it.
+bell_evaluate builds one element_table <s_j|X|s_k> per observable and
+factor; the correlators and branch means are read from those tables, and the
+A1/A2 audit reads interference_report over the second factor's tables.
+Audited configurations place their packets on a fixed lattice of cells, so
+each cell's discretized packet is built once per grid and process and
+shared, read-only, by every branch that sits on it.
 """
 
 from __future__ import annotations
@@ -31,11 +30,11 @@ from ..errors import ConditionViolated, DimensionMismatch, InvalidParameter
 from ..hilbert import OperatorMatrix, StateVector
 from ..supersystem import Branch, CorrelatedState
 from ..wavepacket import (
-    A2_OFFDIAG_FRAC,
     GaussianPacket,
     Grid1D,
-    check_a2,
     discretize_gaussian,
+    element_table,
+    interference_report,
 )
 
 # Slack for the exact magnitude condition |<alpha>_n| >= 1 (rounding only).
@@ -59,19 +58,13 @@ class BellReport:
     condition_min: float  # smallest branch-mean magnitude seen (audit diagnostics)
 
 
-def _element_table(states, op: OperatorMatrix) -> list[list[complex]]:
-    """E[j][k] = <s_j|op|s_k> over one factor's branch states."""
-    applied = [op.apply(s.amplitudes) for s in states]
-    return [[complex(np.vdot(sj.amplitudes, ak)) for ak in applied] for sj in states]
-
-
 def _exact_correlator(coeffs: np.ndarray, ex, ey) -> float:
     """<X (x) Y> with all branch cross terms, from the two factors' tables."""
     n = len(coeffs)
     total = 0.0 + 0.0j
     for j in range(n):
         for k in range(n):
-            total += np.conj(coeffs[j]) * coeffs[k] * ex[j][k] * ey[j][k]
+            total += np.conj(coeffs[j]) * coeffs[k] * ex[j, k] * ey[j, k]
     return float(total.real)
 
 
@@ -79,27 +72,19 @@ def _product_correlator(weights: np.ndarray, ex, ey) -> float:
     """Cross-term-free correlator sum_n w_n <X>_n <Y>_n, from the tables' diagonals."""
     total = 0.0
     for n, w in enumerate(weights):
-        total += float(w) * ex[n][n].real * ey[n][n].real
+        total += float(w) * float(ex[n, n].real) * float(ey[n, n].real)
     return total
 
 
-def _audit_packet_conditions(state: CorrelatedState, obs) -> bool:
+def _audit_packet_conditions(tables) -> bool:
     """Sharp-packet (A1) and interference-free (A2) audit over the second basis.
 
-    One A2 report per observable supplies the means and deviations A1 reads.
-    Only A2's off-diagonal inequality is required: dichotomic branches often
-    share a mean, so A2's mean-gap test does not belong to this bound.
+    tables holds one element_table result per observable.  Only A2's
+    off-diagonal inequality is required: dichotomic branches often share a
+    mean, so A2's mean-gap test does not belong to this bound.
     """
-    states2 = [b.sub2 for b in state.branches]
-    for alpha in obs:
-        report = check_a2(states2, alpha)
-        if not np.all(report.passes_a1()):
-            return False
-        means = np.abs(report.means)
-        bound = A2_OFFDIAG_FRAC * np.maximum.outer(means, means)
-        if np.any(report.off_diagonal_magnitude > bound):
-            return False
-    return True
+    reports = (interference_report(table, second) for table, second in tables)
+    return all(np.all(r.passes_a1()) and np.all(r.passes_off_diagonal) for r in reports)
 
 
 def bell_evaluate(
@@ -130,8 +115,11 @@ def bell_evaluate(
     for states, indices in zip(factors, needed):
         if any(obs[i].dim != s.dim for i in indices for s in states):
             raise DimensionMismatch("observables must act on the factors they are paired with")
-    e1 = {i: _element_table(factors[0], obs[i]) for i in needed[0]}
-    e2 = {i: _element_table(factors[1], obs[i]) for i in needed[1]}
+    t1, t2 = (
+        {i: element_table(states, obs[i]) for i in indices}
+        for states, indices in zip(factors, needed)
+    )
+    e1, e2 = ({i: table for i, (table, _) in t.items()} for t in (t1, t2))
     coeffs = state.coefficients
     exact = {(x, y): _exact_correlator(coeffs, e1[x], e2[y]) for x in (0, 2) for y in (1, 3)}
     chsh_value = abs(exact[0, 1] - exact[0, 3] + exact[2, 1] + exact[2, 3])
@@ -140,13 +128,13 @@ def bell_evaluate(
         for i in range(4):
             for n in range(len(coeffs)):
                 for table in (e1[i], e2[i]):
-                    magnitude = abs(table[n][n].real)
+                    magnitude = abs(float(table[n, n].real))
                     condition_min = min(condition_min, magnitude)
                     if magnitude < 1.0 - CONDITION_TOL:
                         raise ConditionViolated(
                             f"branch mean magnitude {magnitude:g} is below 1"
                         )
-        approx_ok = _audit_packet_conditions(state, obs)
+        approx_ok = _audit_packet_conditions(t2.values())
         weights = state.weights
         pair = {(x, y): _product_correlator(weights, e1[x], e2[y]) for x, y in exact}
     else:

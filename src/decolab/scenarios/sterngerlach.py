@@ -80,8 +80,8 @@ def sg_hamiltonian(config: SGConfig) -> InteractionHamiltonian:
     factor carries no free Hamiltonian here (uniform-field phases drop out of
     every gap and weight).
     """
-    h1 = OperatorMatrix(np.zeros((2, 2)), units="J", hermitian=True)
-    v1 = OperatorMatrix(np.diag([config.mu_b, -config.mu_b]).astype(complex), units="J/T", hermitian=True)
+    h1 = OperatorMatrix(np.zeros((2, 2)), hermitian=True)
+    v1 = OperatorMatrix(np.diag([config.mu_b, -config.mu_b]).astype(complex), hermitian=True)
     beta = config.beta_z
     return InteractionHamiltonian(h1=h1, v1=v1, v2=lambda x: beta * np.asarray(x, dtype=float), mass=config.mass)
 
@@ -89,8 +89,8 @@ def sg_hamiltonian(config: SGConfig) -> InteractionHamiltonian:
 def sg_correlated_state(config: SGConfig) -> CorrelatedState:
     """Initial entangled state: both branches share the packet at the origin."""
     packet = GaussianPacket(0.0, 0.0, config.sigma0, config.mass)
-    minus = StateVector(np.array([1.0, 0.0], dtype=complex), "spin")
-    plus = StateVector(np.array([0.0, 1.0], dtype=complex), "spin")
+    minus = StateVector(np.array([1.0, 0.0], dtype=complex))
+    plus = StateVector(np.array([0.0, 1.0], dtype=complex))
     return CorrelatedState(
         (
             Branch(complex(config.c_minus), (minus, packet)),

@@ -33,7 +33,9 @@ from .errors import (
     TooManyParticles,
 )
 from .hilbert import NORM_TOL, OperatorMatrix, StateVector, projector
-from .wavepacket import GaussianPacket, Grid1D, discretize_gaussian, packet_overlap
+from .wavepacket import (
+    GaussianPacket, Grid1D, _angular_wavenumbers, discretize_gaussian, packet_overlap
+)
 from .constants import HBAR
 
 # [H1, V1] must vanish, relative to max|H1| max|V1|, for the branch labels to
@@ -167,16 +169,14 @@ class InteractionHamiltonian:
     H1 and V1 must commute (within COMMUTATOR_TOL relative to max|H1| max|V1|)
     so V1 eigenvalues label stationary branches, and the V1 spectrum must be
     non-degenerate so the labels are faithful.  V2 is a real function of the
-    pointer coordinate; H2 defaults to the kinetic term p^2 / 2 mass on
-    whatever grid the state is evaluated on (a dense override can be supplied
-    for matrix pointers).
+    pointer coordinate; H2 is the kinetic term p^2 / 2 mass on whatever grid
+    the state is evaluated on.
     """
 
     h1: OperatorMatrix
     v1: OperatorMatrix
     v2: Callable[[np.ndarray], np.ndarray]
     mass: float
-    h2: OperatorMatrix | None = None
 
     def __post_init__(self):
         if not (self.h1.hermitian and self.v1.hermitian):
@@ -222,7 +222,7 @@ def von_neumann_couple(object_state: StateVector, pointer_index: int, pointer_di
         sub2 = np.zeros(pointer_dim, dtype=complex)
         sub2[(n + pointer_index) % pointer_dim] = 1.0
         branches.append(
-            Branch(complex(c), (StateVector(sub1, "object"), StateVector(sub2, "pointer")))
+            Branch(complex(c), (StateVector(sub1), StateVector(sub2)))
         )
     return CorrelatedState(tuple(branches))
 
@@ -334,8 +334,7 @@ def to_product_vector(state: CorrelatedState) -> np.ndarray:
 
 
 def _kinetic_apply(rows: np.ndarray, grid: Grid1D, mass: float) -> np.ndarray:
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
-    kinetic = (HBAR * k) ** 2 / (2.0 * mass)
+    kinetic = (HBAR * _angular_wavenumbers(grid)) ** 2 / (2.0 * mass)
     return np.fft.ifft(np.fft.fft(rows, axis=1) * kinetic[None, :], axis=1)
 
 
@@ -364,11 +363,7 @@ def hamiltonian_apply(
     ham: InteractionHamiltonian, rows: np.ndarray, grid: Grid1D
 ) -> np.ndarray:
     """H Psi for a joint state laid out as (dim1, n_grid) rows."""
-    h_psi = ham.h1.entries @ rows
-    if ham.h2 is not None:
-        h_psi = h_psi + rows @ ham.h2.entries.T
-    else:
-        h_psi = h_psi + _kinetic_apply(rows, grid, ham.mass)
+    h_psi = ham.h1.entries @ rows + _kinetic_apply(rows, grid, ham.mass)
     v2_diag = np.asarray(ham.v2(grid.xs), dtype=float)
     return h_psi + (ham.v1.entries @ rows) * v2_diag[None, :]
 

@@ -4,7 +4,8 @@ A state counts as a wave packet for an observable A when its mean dominates
 its spread, |<A>| >= RATIO * dA (condition A1), and two packets interfere
 weakly when their means are separated by at least the half-sum of their
 spreads while the off-diagonal matrix element stays small (condition A2).
-Both conditions are quantified here with explicit, overridable thresholds.
+Both are quantified here with explicit thresholds, and A2 is read from one
+table of matrix elements <s_j|A|s_k> per family of states.
 
 Discretized packets use the convention that StateVector amplitudes carry the
 sqrt(dx) quadrature weight: c_k = psi(x_k) sqrt(dx), so sum |c_k|^2 = 1 and
@@ -31,7 +32,9 @@ from .errors import (
     NonPositiveInput,
     PacketOutsideGrid,
 )
-from .hilbert import OperatorMatrix, StateVector, expectation_and_deviation, make_state
+from .hilbert import (
+    OperatorMatrix, StateVector, deviation_from_moments, expectation_and_deviation, make_state
+)
 
 # Mean-to-spread ratio demanded of a single packet (condition A1).
 A1_RATIO = 10.0
@@ -118,7 +121,6 @@ class PacketReport:
     exactly when ratio >= the threshold the check ran with.
     """
 
-    observable_name: str
     mean: float
     deviation: float
     ratio: float
@@ -130,9 +132,10 @@ class PacketReport:
 class InterferenceReport:
     """Pairwise weak-interference data for a family of states.
 
-    All four matrices are symmetric with an ignored diagonal; passes_a2[n, m]
-    requires the mean gap to reach the half-sum of spreads AND the
-    off-diagonal element to stay below A2_OFFDIAG_FRAC of the larger mean.
+    All matrices are symmetric with an ignored diagonal (True if boolean).
+    passes_off_diagonal[n, m] requires the off-diagonal element to stay below
+    A2_OFFDIAG_FRAC of the larger mean; passes_a2[n, m] requires that AND the
+    mean gap to reach the half-sum of spreads.
     """
 
     means: np.ndarray
@@ -140,6 +143,7 @@ class InterferenceReport:
     pair_gap: np.ndarray
     pair_threshold: np.ndarray
     off_diagonal_magnitude: np.ndarray
+    passes_off_diagonal: np.ndarray
     passes_a2: np.ndarray
 
     @property
@@ -189,16 +193,16 @@ def discretize_gaussian(grid: Grid1D, packet: GaussianPacket) -> StateVector:
     x = grid.xs
     envelope = np.exp(-((x - packet.x0) ** 2) / (4.0 * packet.sigma_x**2))
     phase = np.exp(1j * packet.p0 * x / HBAR)
-    return make_state(envelope * phase, basis_label="grid")
+    return make_state(envelope * phase)
 
 
 def position_operator(grid: Grid1D) -> OperatorMatrix:
-    return OperatorMatrix(grid.xs, units="m", hermitian=True)
+    return OperatorMatrix(grid.xs, hermitian=True)
 
 
-def potential_operator(grid: Grid1D, f: Callable[[np.ndarray], np.ndarray], units: str = "") -> OperatorMatrix:
+def potential_operator(grid: Grid1D, f: Callable[[np.ndarray], np.ndarray]) -> OperatorMatrix:
     """Diagonal operator for a real function of position."""
-    return OperatorMatrix(np.asarray(f(grid.xs), dtype=float), units=units, hermitian=True)
+    return OperatorMatrix(np.asarray(f(grid.xs), dtype=float), hermitian=True)
 
 
 def _angular_wavenumbers(grid: Grid1D) -> np.ndarray:
@@ -230,7 +234,6 @@ def check_a1(psi: StateVector, op: OperatorMatrix, ratio_threshold: float = A1_R
     mean, dev = expectation_and_deviation(op, psi)
     ratio = float("inf") if dev == 0.0 else abs(mean) / dev
     return PacketReport(
-        observable_name=op.units or "A",
         mean=mean,
         deviation=dev,
         ratio=ratio,
@@ -238,44 +241,58 @@ def check_a1(psi: StateVector, op: OperatorMatrix, ratio_threshold: float = A1_R
     )
 
 
-def check_a2(
-    states: Sequence[StateVector],
-    op: OperatorMatrix,
-    offdiag_frac: float = A2_OFFDIAG_FRAC,
-) -> InterferenceReport:
-    """Pairwise weak-interference check for a family of states.
+def element_table(states: Sequence[StateVector], op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """E[j, k] = <s_j|A|s_k> and second[n] = |A s_n|^2, applying op once per state.
 
-    For each pair (n, m) the mean gap |<A>_n - <A>_m| must reach the critical
-    value (dA_n + dA_m) / 2 and |<u_n|A|u_m>| must stay below offdiag_frac of
-    the larger mean magnitude.  Both inequalities are inclusive.
+    E[n, n].real and second[n] are the vdots expectation_and_deviation takes.
     """
-    if not op.hermitian:
-        raise NonHermitian("condition A2 needs a Hermitian observable")
-    n = len(states)
-    if n == 0:
-        raise DimensionMismatch("need at least one state")
-    means = np.zeros(n)
-    devs = np.zeros(n)
-    for i, s in enumerate(states):
-        means[i], devs[i] = expectation_and_deviation(op, s)
+    applied = [op.apply(s.amplitudes) for s in states]
+    table = np.array([[np.vdot(sj.amplitudes, ak) for ak in applied] for sj in states], dtype=complex)
+    second = np.array([np.vdot(ak, ak).real for ak in applied])
+    return table, second
+
+
+def interference_report(table: np.ndarray, second: np.ndarray) -> InterferenceReport:
+    """Weak-interference report of a family of states from its element_table.
+
+    For each pair (n, m) the mean gap |<A>_n - <A>_m| must reach (dA_n + dA_m) / 2
+    and |<u_m|A|u_n>| must stay below A2_OFFDIAG_FRAC of the larger mean
+    magnitude.  Both inequalities are inclusive.
+    """
+    n = table.shape[0]
+    means = table.diagonal().real.copy()
+    devs = np.array([deviation_from_moments(means[i], second[i]) for i in range(n)])
     gap = np.abs(means[:, None] - means[None, :])
     threshold = 0.5 * (devs[:, None] + devs[None, :])
     offdiag = np.zeros((n, n))
     for i in range(n):
-        a_si = op.apply(states[i].amplitudes)
         for j in range(i + 1, n):
-            offdiag[i, j] = offdiag[j, i] = abs(np.vdot(states[j].amplitudes, a_si))
+            offdiag[i, j] = offdiag[j, i] = abs(table[j, i])
     scale = np.maximum(np.abs(means)[:, None], np.abs(means)[None, :])
-    passes = (gap >= threshold) & (offdiag <= offdiag_frac * scale)
-    np.fill_diagonal(passes, True)  # diagonal carries no interference content
+    off_ok = offdiag <= A2_OFFDIAG_FRAC * scale
+    np.fill_diagonal(off_ok, True)  # the diagonal carries no interference content
+    passes = (gap >= threshold) & off_ok
+    np.fill_diagonal(passes, True)
     return InterferenceReport(
         means=means,
         deviations=devs,
         pair_gap=gap,
         pair_threshold=threshold,
         off_diagonal_magnitude=offdiag,
+        passes_off_diagonal=off_ok,
         passes_a2=passes,
     )
+
+
+def check_a2(states: Sequence[StateVector], op: OperatorMatrix) -> InterferenceReport:
+    """Pairwise weak-interference check for a family of states (see interference_report)."""
+    if not op.hermitian:
+        raise NonHermitian("condition A2 needs a Hermitian observable")
+    if len(states) == 0:
+        raise DimensionMismatch("need at least one state")
+    if any(s.dim != op.dim for s in states):
+        raise DimensionMismatch(f"every state must have the operator's dim {op.dim}")
+    return interference_report(*element_table(states, op))
 
 
 def _fd_second_derivative(f: Callable[[float], float], x: float, scale: float) -> float:
@@ -290,7 +307,6 @@ def wavepacket_criterion(
     a_of_x: Callable,
     grid: Grid1D,
     second_derivative: Callable | None = None,
-    taylor_factor: float = TAYLOR_FACTOR,
 ) -> PacketReport:
     """Second-order Taylor (classical-limit) check of <A(x)> = A(<x>).
 
@@ -298,9 +314,9 @@ def wavepacket_criterion(
     expectation the packet picture cannot account for.  The report passes
     when the packet width clears the curvature bound
 
-        taylor_factor * dx <= sqrt(|<A(x)> - A(<x>)| / (|A''(<x>)| / 2)),
+        TAYLOR_FACTOR * dx <= sqrt(|<A(x)> - A(<x>)| / (|A''(<x>)| / 2)),
 
-    with ratio = bound / dx so that passing is again ratio >= taylor_factor.
+    with ratio = bound / dx so that passing is again ratio >= TAYLOR_FACTOR.
     """
     x = grid.xs
     weights = np.abs(psi.amplitudes) ** 2
@@ -328,11 +344,10 @@ def wavepacket_criterion(
     a_sq_mean = float(np.sum(a_values * a_values * weights))
     deviation = float(np.sqrt(max(a_sq_mean - a_mean * a_mean, 0.0)))
     return PacketReport(
-        observable_name="A(x)",
         mean=a_mean,
         deviation=deviation,
         ratio=ratio,
-        passes_a1=bool(bound >= taylor_factor * dx_spread),
+        passes_a1=bool(bound >= TAYLOR_FACTOR * dx_spread),
         taylor_residual=residual,
     )
 
@@ -357,12 +372,12 @@ def superposition_packet_test(
     offset = 1.2 * ratio_threshold * max(p.sigma_x for p in packets) - min(
         p.x0 for p in packets
     )
-    shifted = potential_operator(grid, lambda x: x + offset, units="m")
+    shifted = potential_operator(grid, lambda x: x + offset)
     each = [check_a1(s, shifted, ratio_threshold).passes_a1 for s in states]
     combined = np.zeros(grid.n_points, dtype=complex)
     for c, s in zip(coeffs, states):
         combined = combined + complex(c) * s.amplitudes
-    superposed = make_state(combined, basis_label="grid")
+    superposed = make_state(combined)
     sup = check_a1(superposed, shifted, ratio_threshold).passes_a1
     return each, bool(sup)
 

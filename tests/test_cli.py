@@ -67,6 +67,17 @@ def test_seed_precedence_env_lowest(tmp_path, monkeypatch):
     assert parse_config(["bose"]).seed == 42
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [("9007199254740993", 2**53 + 1), ("18446744073709551615", 2**64 - 1), ("1e3", 1000)],
+)
+def test_seed_is_exact_above_two_to_the_53(monkeypatch, text, expected):
+    # integers parse exactly at any size; only exponent forms go through float
+    assert parse_config(["classicize", "--seed", text]).seed == expected
+    monkeypatch.setenv("DECOLAB_SEED", text)
+    assert parse_config(["classicize"]).seed == expected
+
+
 def test_unknown_file_key_rejected(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("beta_q = 1e3\n")

@@ -290,7 +290,6 @@ def test_trace_table_three_branch_schema():
 def synthetic_trace(tau: float | None, n_branches: int = 2) -> OrderParameterTrace:
     times = np.array([0.0, 1.0])
     return OrderParameterTrace(
-        observable_name="position",
         times=times,
         pairs=((0, 1),),
         gap=np.array([[0.0, 2.0]]),

@@ -403,3 +403,21 @@ def test_check_a2_matches_per_element_reference(key, kind, size):
     expected = _a2_reference(states, op)
     for f in dataclasses.fields(report):
         assert np.array_equal(getattr(report, f.name), expected[f.name]), f.name
+
+
+@pytest.mark.parametrize("n_branches", [2, 3])
+def test_audited_evaluation_applies_each_observable_once_per_factor(monkeypatch, n_branches):
+    # 4 observables x 2 factors, one application per branch state: the
+    # A1/A2 audit reads the tables the correlators were built from
+    state, obs = audited_configuration(split_seed(31, n_branches), n_branches=n_branches)
+    calls = []
+    apply = OperatorMatrix.apply
+
+    def counting_apply(self, v):
+        calls.append(self)
+        return apply(self, v)
+
+    monkeypatch.setattr(OperatorMatrix, "apply", counting_apply)
+    report = bell_evaluate(state, obs, enforce_approx=True)
+    assert report.approx_conditions_met
+    assert len(calls) == 8 * n_branches

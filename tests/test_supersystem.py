@@ -57,7 +57,7 @@ EHRENFEST_RTOL = 1e-8
 MIXTURE_TOL = 1e-12
 RESIDUAL_SOLVER_TOL = 1e-6
 
-ZERO2 = OperatorMatrix(np.zeros((2, 2), dtype=complex), units="J", hermitian=True)
+ZERO2 = OperatorMatrix(np.zeros((2, 2), dtype=complex), hermitian=True)
 
 
 def affine_ham(slope: float, mass: float, v_scale: float = 1e-23) -> InteractionHamiltonian:

@@ -205,8 +205,8 @@ def test_packet_overlap_bounded_by_one(d_sig, q_sig, width_ratio):
 
 def test_operator_builders_set_flags():
     assert position_operator(REF_GRID).hermitian
-    v = potential_operator(REF_GRID, lambda x: x**2, units="J")
-    assert v.hermitian and v.units == "J"
+    v = potential_operator(REF_GRID, lambda x: x**2)
+    assert v.hermitian
 
 
 def test_dense_momentum_matches_fft_route():
@@ -299,7 +299,7 @@ def test_a2_off_diagonal_interference_fails():
     op = OperatorMatrix(
         np.array([[0.0, 5.0], [5.0, 20.0]], dtype=complex), hermitian=True
     )
-    report = check_a2([u1, u2], op, offdiag_frac=A2_OFFDIAG_FRAC)
+    report = check_a2([u1, u2], op)
     assert report.pair_gap[0, 1] >= report.pair_threshold[0, 1]
     assert report.off_diagonal_magnitude[0, 1] > A2_OFFDIAG_FRAC * 20.0
     assert not report.passes_a2[0, 1]
