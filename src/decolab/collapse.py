@@ -192,11 +192,13 @@ def trace_table(trace: OrderParameterTrace) -> tuple[list[str], list[np.ndarray]
 
 
 def outcomes_to_jsonl(indices: np.ndarray, weights: Sequence[float]) -> str:
-    """One JSON object per trial: branch_index, posterior, prior, trial.
+    """One JSON object per trial, as one str: branch_index, posterior, prior, trial.
 
     Keys are sorted for reproducible bytes.  Only the trial number varies
     between records of one branch, so each branch's record prefix is built
     once; "trial" sorts last, so prefix + number + "}" is the sorted dump.
+    The records come from one "%s%d}\\n" format pass over the flat tuple of
+    (prefix, trial) pairs of the whole run.
     """
     prefixes = []
     for index, weight in enumerate(weights):
@@ -204,4 +206,8 @@ def outcomes_to_jsonl(indices: np.ndarray, weights: Sequence[float]) -> str:
         posterior[index] = 1.0
         record = {"branch_index": index, "posterior": posterior, "prior": float(weight)}
         prefixes.append(json.dumps(record, sort_keys=True)[:-1] + ', "trial": ')
-    return "".join(f"{prefixes[b]}{i}}}\n" for i, b in enumerate(indices.tolist()))
+    n = len(indices)
+    cells = [None] * (2 * n)
+    cells[0::2] = map(prefixes.__getitem__, indices.tolist())
+    cells[1::2] = range(n)
+    return ("%s%d}\n" * n) % tuple(cells)

@@ -33,6 +33,12 @@ from .errors import (
 NORM_TOL = 1e-10
 # Tolerance for exact algebraic identities (idempotency, reconstruction, ...).
 ALG_TOL = 1e-12
+# make_state rescales amplitudes whose largest modulus leaves this range.
+# Inside it the largest square is a normal double of at least 2^-960, squares
+# that round as subnormals lie below its last digit, and a sum of up to 2^64
+# squares stays finite.
+_SQUARE_SAFE_MIN = 2.0**-480
+_SQUARE_SAFE_MAX = 2.0**480
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -143,10 +149,18 @@ def make_state(amplitudes) -> StateVector:
     """Normalize a complex amplitude list into a StateVector.
 
     Relative phases are preserved exactly; only the overall scale is fixed.
+    Amplitudes whose largest modulus lies outside [2^-480, 2^480] are first
+    divided by that modulus, so their squares neither overflow nor lose
+    digits as subnormals; every other input is normalized as is.
     """
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.ndim != 1 or amps.size == 0:
         raise EmptyInput("make_state needs a non-empty 1-d amplitude sequence")
+    peak = float(np.max(np.abs(amps)))
+    if peak > 0.0 and not _SQUARE_SAFE_MIN <= peak <= _SQUARE_SAFE_MAX:
+        # Real and imaginary parts apart: complex division overflows for a
+        # subnormal divisor.
+        amps = amps.real / peak + 1j * (amps.imag / peak)
     norm = float(np.linalg.norm(amps))
     if norm == 0.0:
         raise ZeroVector("cannot normalize the zero vector")

@@ -9,7 +9,8 @@ happens below
 
 Temperatures strictly below T_c classify as "condensed" (overlapping,
 symmetrization-dominated); T >= T_c, the boundary included, classifies as
-"separated".
+"separated".  A T_c or wavelength that leaves the range of a double (zero,
+infinite, or an overflow on the way) raises InvalidParameter.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from ..constants import K_B, PLANCK_H
-from ..errors import NonPositiveInput
+from ..errors import InvalidParameter, NonPositiveInput
 
 CONDENSED = "condensed"
 SEPARATED = "separated"
@@ -46,11 +47,25 @@ class BoseResult:
     phases: tuple
 
 
+def _in_range(compute, quantity: str) -> float:
+    """compute(), which must be positive and finite; an overflow raises InvalidParameter."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise InvalidParameter(f"{quantity} overflows the range of a double")
+    return value
+
+
 def thermal_de_broglie(mass: float, temperature: float) -> float:
     """lambda = h / sqrt(m k_B T)."""
     if not (mass > 0 and temperature > 0):
         raise NonPositiveInput("mass and temperature must be positive")
-    return PLANCK_H / math.sqrt(mass * K_B * temperature)
+    return _in_range(
+        lambda: PLANCK_H / math.sqrt(mass * K_B * temperature),
+        f"thermal wavelength at mass {mass!r} kg, T {temperature!r} K",
+    )
 
 
 def bose_critical_temperature(config: BoseConfig) -> BoseResult:
@@ -59,7 +74,10 @@ def bose_critical_temperature(config: BoseConfig) -> BoseResult:
     The classification is exactly the wavelength crossover: lambda(T) > d iff
     T < T_c, so the boundary T = T_c (lambda = d) lands on "separated".
     """
-    t_c = PLANCK_H**2 / (config.mass * K_B * config.spacing**2)
+    t_c = _in_range(
+        lambda: PLANCK_H**2 / (config.mass * K_B * config.spacing**2),
+        f"T_c at mass {config.mass!r} kg, spacing {config.spacing!r} m",
+    )
     wavelengths = tuple(thermal_de_broglie(config.mass, t) for t in config.temperatures)
     phases = tuple(CONDENSED if t < t_c else SEPARATED for t in config.temperatures)
     return BoseResult(t_c=t_c, wavelengths=wavelengths, phases=phases)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,18 @@ def test_classicize_summary_reports_phase_spread(tmp_path):
     assert math.isclose(
         summary["summary"]["phase_spread"], math.pi * 0.6, rel_tol=1e-9
     )
+
+
+# Amplitudes whose squares overflow, or round as subnormals, normalize like 1,1.
+@pytest.mark.parametrize("scale", ["1e200", "1e160", "1e-160", "1e-200"])
+def test_classicize_equal_amplitudes_at_extreme_scales(tmp_path, capsys, scale):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["classicize", "--amplitudes", f"{scale},{scale}", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    weights = json.loads((out / "summary.json").read_text())["summary"]["weights"]
+    assert weights == pytest.approx([0.5, 0.5], rel=1e-15, abs=0.0)
 
 
 # Output bytes pinned by SHA-256, so a storage or evaluation-order change in the
@@ -428,12 +441,16 @@ def test_main_fewer_than_one_trial_exit_one(tmp_path, capsys, scenario, n_trials
         ["bell", "--mode", "audited", "--n-configs", "-2"],
         ["bell", "--mode", "audited", "--n-configs", "0"],
         ["sterngerlach", "--t-max", "5e-324", "--n-steps", "2"],
+        ["bose", "--spacing", "1e300"],
+        ["bose", "--mass", "1e-300"],
+        ["bose", "--mass", "1e-30", "--temps", "1e-300"],
     ],
     ids=[
         "sg-beta-z", "sg-mass", "sg-n-steps", "sg-c-minus", "sg-pre-tau-n-trials",
         "wp-sigma", "wp-mass", "wp-grid-points",
         "bell-sign", "bell-n-branches", "bell-n-configs-negative", "bell-n-configs-zero",
         "sg-t-max-subnormal",
+        "bose-spacing-overflow", "bose-mass-t-c-overflow", "bose-wavelength-overflow",
     ],
 )
 def test_main_invalid_parameter_exit_one(tmp_path, capsys, argv):

@@ -361,3 +361,45 @@ def test_outcomes_jsonl_is_deterministic_and_parseable():
         one_hot[index] = 1.0
         assert record["posterior"] == one_hot
         assert record["prior"] == weights[index]
+
+
+def _reference_jsonl(indices, weights):
+    """Reference build: a record-at-a-time join, one f-string per trial."""
+    prefixes = []
+    for index, weight in enumerate(weights):
+        posterior = [0.0] * len(weights)
+        posterior[index] = 1.0
+        record = {"branch_index": index, "posterior": posterior, "prior": float(weight)}
+        prefixes.append(json.dumps(record, sort_keys=True)[:-1] + ', "trial": ')
+    return "".join(f"{prefixes[b]}{i}}}\n" for i, b in enumerate(indices.tolist()))
+
+
+# Edge weights: both ends, the smallest and largest subnormals, the smallest
+# normal, and values whose shortest repr needs all 17 significant digits.
+EDGE_WEIGHTS = [
+    0.0,
+    1.0,
+    5e-324,
+    2.225073858507201e-308,
+    2.2250738585072014e-308,
+    0.1 + 0.2,
+    1.0 / 3.0,
+    0.7000000000000001,
+    0.9999999999999999,
+]
+
+
+@seed(17)
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(
+        st.one_of(st.sampled_from(EDGE_WEIGHTS), st.floats(min_value=0.0, max_value=1.0)),
+        min_size=1,
+        max_size=8,
+    ),
+    n_trials=st.integers(min_value=1, max_value=3000),
+    key=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_outcomes_jsonl_matches_record_at_a_time_reference(weights, n_trials, key):
+    indices = np.random.default_rng(key).integers(0, len(weights), size=n_trials)
+    assert outcomes_to_jsonl(indices, weights) == _reference_jsonl(indices, weights)

@@ -93,6 +93,18 @@ def test_make_state_rejects_empty_and_zero():
         make_state([0.0, 0.0])
 
 
+@seed(24)
+@settings(max_examples=200, deadline=None)
+@given(
+    amps=st.lists(st.floats(min_value=0.1, max_value=1.0), min_size=1, max_size=6),
+    exponent=st.integers(min_value=-300, max_value=300),
+)
+def test_make_state_weights_are_scale_free(amps, exponent):
+    unscaled = np.abs(make_state(amps).amplitudes) ** 2
+    scaled = np.abs(make_state(np.array(amps) * 10.0**exponent).amplitudes) ** 2
+    assert np.allclose(scaled, unscaled, rtol=1e-15, atol=0.0)
+
+
 def test_state_vector_rejects_unnormalized():
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 1.0], dtype=complex))

@@ -10,7 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from decolab.constants import K_B, MASS_RB87, PLANCK_H
-from decolab.errors import NonPositiveInput
+from decolab.errors import InvalidParameter, NonPositiveInput
 from decolab.scenarios.bose import (
     CONDENSED,
     SEPARATED,
@@ -54,6 +54,13 @@ def test_wavelength_rejects_nonpositive_inputs():
         thermal_de_broglie(MASS_RB87, math.nan)
     with pytest.raises(NonPositiveInput):
         thermal_de_broglie(math.nan, 1e-6)
+
+
+def test_wavelength_out_of_double_range_is_invalid():
+    # m k_B T underflows to 0 (division by zero) or overflows to inf (lambda = 0)
+    for mass, temperature in ((1e-30, 1e-300), (1e300, 1e300)):
+        with pytest.raises(InvalidParameter, match="overflows"):
+            thermal_de_broglie(mass, temperature)
 
 
 # ---------------------------------------------------------------- threshold
@@ -132,3 +139,11 @@ def test_config_validation():
         fields = {"mass": MASS_RB87, "spacing": 1e-7, "temperatures": (1e-6,), **bad}
         with pytest.raises(NonPositiveInput):
             BoseConfig(**fields)
+
+
+def test_critical_temperature_out_of_double_range_is_invalid():
+    # d**2 overflows, m k_B d^2 underflows to 0, and T_c underflows to 0
+    for mass, spacing in ((MASS_RB87, 1e300), (1e-300, RB87_SPACING), (1e300, 1e100)):
+        config = BoseConfig(mass=mass, spacing=spacing, temperatures=(1e-6,))
+        with pytest.raises(InvalidParameter, match="overflows"):
+            bose_critical_temperature(config)
