@@ -5,10 +5,11 @@ resolve flags > config file > defaults (the seed falls back to the
 DECOLAB_SEED environment variable before its built-in 42).  Config files are
 flat `key = value` lines with '#' comments, keyed like the flags (underscores
 are accepted and treated as hyphens).  Every run writes summary.json (stable
-key order, no
-timestamps, byte-reproducible under a fixed seed) plus one
-<scenario>_<trace>.csv per trace when csv output is selected.  A trace is a
-header plus one array per column, printed through one row template per file.
+key order, no timestamps, no NaN or infinity, byte-reproducible under a fixed
+seed) plus one <scenario>_<trace>.csv per trace when csv output is selected.
+A trace is a header plus one array per column, printed through one row
+template per file; a column whose cells are all byte-equal is formatted once
+and written into the template as literal text.
 
 Exit codes: 0 success, 1 scenario error (out of memory included), 2
 configuration error.
@@ -23,6 +24,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,15 @@ from .collapse import (
     trace_table,
 )
 from .constants import CONSTANTS_VERSION, MASS_RB87, MASS_SILVER, MU_B, PAPER_ROUND
-from .errors import ConfigError, DecolabError, MissingRequired, NonPositiveInput, TypeMismatch, UnknownKey
+from .errors import (
+    ConfigError,
+    DecolabError,
+    InvalidParameter,
+    MissingRequired,
+    NonPositiveInput,
+    TypeMismatch,
+    UnknownKey,
+)
 from .hilbert import make_state
 from .scenarios import (
     BoseConfig,
@@ -431,26 +441,43 @@ def run(config: RunConfig) -> ScenarioResult:
 
 def emit(result: ScenarioResult, config: RunConfig) -> list[Path]:
     """Write summary.json (always) and CSV/JSONL traces into the output dir."""
-    out_dir = config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     payload = {
         "scenario": result.scenario,
         "summary": result.summary,
         "provenance": result.provenance,
     }
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # NaN and Infinity are not JSON
+        raise InvalidParameter(f"summary holds a non-finite value: {exc}") from exc
+    out_dir = config.output_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
     summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    summary_path.write_text(text + "\n", encoding="utf-8")
     written.append(summary_path)
     if "csv" in config.formats:
         for name, (header, columns) in result.traces.items():
             path = out_dir / f"{result.scenario}_{name}.csv"
-            row = ",".join(CELL_CODES.get(c.dtype.kind, "%s") for c in columns) + "\n"
+            codes, varying = [], []
+            for c in columns:
+                code = CELL_CODES.get(c.dtype.kind, "%s")
+                # A column whose cells are all byte-equal is formatted once
+                # and becomes literal text of the row template.  Bytes, not
+                # ==, so 0.0 and -0.0 (or two NaN payloads) are never merged.
+                if c.size and c.tobytes() == c[:1].tobytes() * c.size:
+                    code = (code % (c.item(0),)).replace("%", "%%")
+                else:
+                    varying.append(c)
+                codes.append(code)
+            row = ",".join(codes) + "\n"
+            n_rows = min((c.size for c in columns), default=0)
+            cells = zip(*(c.tolist() for c in varying)) if varying else repeat((), n_rows)
             with path.open("w", encoding="utf-8") as f:
                 f.write(",".join(header) + "\n")
                 # One % per row, streamed through the file buffer: joining the
                 # rows first, or one % over every cell, holds more memory at peak.
-                f.writelines(map(row.__mod__, zip(*(c.tolist() for c in columns))))
+                f.writelines(map(row.__mod__, cells))
             written.append(path)
     if "json" in config.formats:
         for name, blob in result.jsonl.items():

@@ -247,25 +247,36 @@ def branch_evolve(
     arrays over it.  The effective force is f = -v_eigenvalue * V2'(x); V2
     must be affine over the region the packet sweeps up to each sample time
     (checked, NonlinearPotential otherwise), so the force is constant and the
-    Ehrenfest trajectory is exact.
+    Ehrenfest trajectory is exact.  A force, position or V2 value beyond the
+    double range raises InvalidParameter; a NaN V2 is not affine.
     """
-    value0, slope = _affine_slope(ham.v2, initial.x0, initial.sigma_x)
-    force = -float(v_eigenvalue) * slope
-    moved = initial.evolved(t, force=force, spreading=spreading)
-    # Verify affinity over everything the packet sweeps, with 6 sigma margin:
-    # one window per sample time, each probed at the 9 points of
-    # np.linspace(lo, hi, 9).  Going one point index at a time over all
-    # windows never holds a (n_times, 9) array.
-    lo = np.atleast_1d(np.minimum(initial.x0, moved.x0) - 6.0 * moved.sigma_x)
-    hi = np.atleast_1d(np.maximum(initial.x0, moved.x0) + 6.0 * moved.sigma_x)
-    step = (hi - lo) / 8
-    peak = misfit = 0.0
-    for k in range(9):
-        xs = hi if k == 8 else k * step + lo
-        values = np.asarray(ham.v2(xs), dtype=float)
-        peak = np.maximum(peak, np.abs(values))
-        misfit = np.maximum(misfit, np.abs(values - (value0 + slope * (xs - initial.x0))))
-    tolerance = 1e-9 * np.maximum(np.maximum(peak, abs(slope) * (hi - lo)), 1e-300)
+    # Overflow is reported as such below, not as a NumPy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        value0, slope = _affine_slope(ham.v2, initial.x0, initial.sigma_x)
+        force = -float(v_eigenvalue) * slope
+        if math.isnan(force):
+            raise NonlinearPotential("V2 is not a number at the packet centre")
+        if math.isinf(force):
+            raise InvalidParameter(f"effective force {force!r} overflows a double")
+        moved = initial.evolved(t, force=force, spreading=spreading)
+        if not np.isfinite(moved.x0).all():
+            raise InvalidParameter("evolved packet position overflows a double")
+        # Verify affinity over everything the packet sweeps, with 6 sigma
+        # margin: one window per sample time, each probed at the 9 points of
+        # np.linspace(lo, hi, 9).  Going one point index at a time over all
+        # windows never holds a (n_times, 9) array.
+        lo = np.atleast_1d(np.minimum(initial.x0, moved.x0) - 6.0 * moved.sigma_x)
+        hi = np.atleast_1d(np.maximum(initial.x0, moved.x0) + 6.0 * moved.sigma_x)
+        step = (hi - lo) / 8
+        peak = misfit = 0.0
+        for k in range(9):
+            xs = hi if k == 8 else k * step + lo
+            values = np.asarray(ham.v2(xs), dtype=float)
+            peak = np.maximum(peak, np.abs(values))
+            misfit = np.maximum(misfit, np.abs(values - (value0 + slope * (xs - initial.x0))))
+        tolerance = 1e-9 * np.maximum(np.maximum(peak, abs(slope) * (hi - lo)), 1e-300)
+    if np.isinf(peak).any():
+        raise InvalidParameter("V2 overflows a double over the packet support")
     if not np.all(misfit <= tolerance):
         raise NonlinearPotential("V2 is not affine over the packet support")
     return moved

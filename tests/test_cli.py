@@ -333,16 +333,17 @@ CELLS = {
 def trace_columns(draw):
     n_rows = draw(st.integers(min_value=0, max_value=12))
     dtypes = draw(st.lists(st.sampled_from(list(CELLS)), min_size=1, max_size=7))
-    return [
-        np.array(draw(st.lists(CELLS[d], min_size=n_rows, max_size=n_rows)), dtype=d)
-        for d in dtypes
-    ]
+    columns = []
+    for d in dtypes:
+        if draw(st.booleans()):  # one cell repeated: a constant column
+            cells = [draw(CELLS[d])] * n_rows
+        else:
+            cells = draw(st.lists(CELLS[d], min_size=n_rows, max_size=n_rows))
+        columns.append(np.array(cells, dtype=d))
+    return columns
 
 
-@seed(16)
-@settings(max_examples=200, deadline=None)
-@given(columns=trace_columns())
-def test_emit_matches_per_cell_formatting(columns):
+def assert_emit_matches_per_cell_formatting(columns):
     header = [f"c{i}" for i in range(len(columns))]
     rows = zip(*(column.tolist() for column in columns))
     lines = [",".join(header)] + [",".join(_format_cell(v) for v in row) for row in rows]
@@ -351,6 +352,28 @@ def test_emit_matches_per_cell_formatting(columns):
         config = RunConfig(scenario="prop", params={}, output_dir=out, formats=frozenset({"csv"}))
         emit(ScenarioResult("prop", {}, traces={"t": (header, columns)}), config)
         assert (out / "prop_t.csv").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@seed(16)
+@settings(max_examples=200, deadline=None)
+@given(columns=trace_columns())
+def test_emit_matches_per_cell_formatting(columns):
+    assert_emit_matches_per_cell_formatting(columns)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [np.arange(3), np.array([0.0, -0.0, 0.0])],
+        [np.arange(3), np.full(3, np.nan)],
+        [np.arange(3), np.array(["5%", "5%", "5%"])],
+        [np.full(3, 0.1), np.array(["%d%%s", "%d%%s", "%d%%s"]), np.ones(3, dtype=bool)],
+        [np.array([], dtype=float), np.array([], dtype=np.str_)],
+    ],
+    ids=["signed-zeros", "nan", "str-percent", "all-constant", "no-rows"],
+)
+def test_emit_folds_constant_columns_exactly(columns):
+    assert_emit_matches_per_cell_formatting(columns)
 
 
 # -------------------------------------------------------------- exit codes
@@ -444,6 +467,12 @@ def test_main_fewer_than_one_trial_exit_one(tmp_path, capsys, scenario, n_trials
         ["bose", "--spacing", "1e300"],
         ["bose", "--mass", "1e-300"],
         ["bose", "--mass", "1e-30", "--temps", "1e-300"],
+        ["sterngerlach", "--mu-b", "1e300", "--beta-z", "1e300"],
+        ["sterngerlach", "--t-max", "1e200"],
+        ["sterngerlach", "--beta-z", "1e300"],
+        # an unresolved packet is an eigenstate: A1's ratio is infinite
+        ["wavepacket-check", "--grid-min=-1e-6", "--grid-max=1e-6", "--grid-points", "2001",
+         "--x0", "5e-7", "--sigma", "1e-11"],
     ],
     ids=[
         "sg-beta-z", "sg-mass", "sg-n-steps", "sg-c-minus", "sg-pre-tau-n-trials",
@@ -451,8 +480,11 @@ def test_main_fewer_than_one_trial_exit_one(tmp_path, capsys, scenario, n_trials
         "bell-sign", "bell-n-branches", "bell-n-configs-negative", "bell-n-configs-zero",
         "sg-t-max-subnormal",
         "bose-spacing-overflow", "bose-mass-t-c-overflow", "bose-wavelength-overflow",
+        "sg-force-overflow", "sg-position-overflow", "sg-potential-overflow",
+        "wp-infinite-ratio",
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_main_invalid_parameter_exit_one(tmp_path, capsys, argv):
     out = tmp_path / "bad"
     assert main(argv + ["--out", str(out)]) == 1

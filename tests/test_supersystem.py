@@ -30,6 +30,7 @@ from decolab.errors import (
     DimensionMismatch,
     EmptyInput,
     IndexOutOfRange,
+    InvalidParameter,
     MissingEnvironment,
     NonlinearPotential,
     TooManyParticles,
@@ -329,6 +330,23 @@ def test_branch_evolve_rejects_nan_potential(v2):
     ham = InteractionHamiltonian(h1=ZERO2, v1=v1, v2=v2, mass=1e-25)
     with pytest.raises(NonlinearPotential):
         branch_evolve(ham, 1e-23, GaussianPacket(0.0, 0.0, 1e-9, 1e-25), 1e-7)
+
+
+@pytest.mark.parametrize(
+    "v_eigenvalue,beta,t,cause",
+    [
+        (1e300, 1e300, 1e-7, "force"),
+        (1e-23, 1e3, np.array([0.0, 1e200]), "position"),
+        (1e-23, 1e300, 1e-7, "V2"),
+    ],
+    ids=["force", "position", "potential"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_branch_evolve_reports_overflow(v_eigenvalue, beta, t, cause):
+    v1 = OperatorMatrix(np.diag([1e-23, -1e-23]).astype(complex), hermitian=True)
+    ham = InteractionHamiltonian(h1=ZERO2, v1=v1, v2=lambda x: beta * np.asarray(x), mass=1e-25)
+    with pytest.raises(InvalidParameter, match=f"{cause}.* overflows a double"):
+        branch_evolve(ham, v_eigenvalue, GaussianPacket(0.0, 0.0, 1e-9, 1e-25), t)
 
 
 @seed(14)
