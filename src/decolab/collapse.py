@@ -1,4 +1,4 @@
-"""Order-parameter traces, the diagonal phase transform, and branch sampling.
+"""Order-parameter traces, the diagonal transform's phase spread, and branch sampling.
 
 When every branch of a superposition is a wave packet for the measured
 observable, the breaking transform W_eps reduces to diagonal phases
@@ -37,12 +37,6 @@ _MASK64 = (1 << 64) - 1
 def split_seed(base: int, index: int) -> int:
     """Seed naming configuration `index` of a run: base XOR (golden ratio * index) mod 2^64."""
     return (int(base) ^ ((SEED_GOLDEN * int(index)) & _MASK64)) & _MASK64
-
-
-def approx_w_transform(psi: StateVector, eps: float) -> StateVector:
-    """Diagonal phase form of the breaking transform: c_n -> c_n e^{i eps |c_n|^2}."""
-    c = psi.amplitudes
-    return StateVector(c * np.exp(1j * eps * np.abs(c) ** 2))
 
 
 def decoherence_phase_spread(psi: StateVector, eps: float) -> float:

@@ -51,10 +51,6 @@ class NonlinearPotential(DecolabError, ValueError):
     """Closed-form packet evolution needs an at-most-linear potential."""
 
 
-class MissingEnvironment(DecolabError, ValueError):
-    """A second-kind mixture needs an environment factor on every branch."""
-
-
 class TooManyParticles(DecolabError, ValueError):
     """Bose symmetrization is capped at 6 particles (n! branches)."""
 

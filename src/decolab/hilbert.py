@@ -167,11 +167,6 @@ def make_state(amplitudes) -> StateVector:
     return StateVector(amps / norm)
 
 
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product state |a> (x) |b>, index of b varying fastest."""
-    return StateVector(np.kron(a.amplitudes, b.amplitudes))
-
-
 def projector(psi: StateVector) -> OperatorMatrix:
     """Rank-one projector |psi><psi|."""
     c = psi.amplitudes
@@ -203,14 +198,6 @@ def apply_w(psi: StateVector, chi: StateVector, eps: float) -> StateVector:
     else:
         out = chi.amplitudes + s * (np.exp(1j * eps) - 1.0) * psi.amplitudes
     return StateVector(out)
-
-
-def expectation(op: OperatorMatrix, psi: StateVector) -> complex:
-    """<psi|M|psi>; real part only when the operator is flagged Hermitian."""
-    if op.dim != psi.dim:
-        raise DimensionMismatch(f"dims {op.dim} and {psi.dim} differ")
-    val = complex(np.vdot(psi.amplitudes, op.apply(psi.amplitudes)))
-    return val.real if op.hermitian else val
 
 
 def deviation_from_moments(mean: float, second: float) -> float:

@@ -15,7 +15,6 @@ from .sterngerlach import (
     sg_correlated_state,
     sg_critical_time,
     sg_hamiltonian,
-    sg_moments,
     sg_run,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "sg_correlated_state",
     "sg_critical_time",
     "sg_hamiltonian",
-    "sg_moments",
     "sg_run",
     "singlet_state",
     "spin_observable",

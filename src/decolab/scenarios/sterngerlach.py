@@ -3,9 +3,9 @@
 The gradient potential -/+ mu_B beta_z z pushes the two spin branches apart
 with constant force mu_B beta_z, so the branch centers separate as
 z_pm(t) = +/- (mu_B beta_z / 2 m) t^2 while the packet widths stay at
-sigma0.  The position gap crosses the critical half-width sum at
+sigma0.  The position gap crosses the critical half-width sum sigma0 at
 
-    tau_c = sqrt(delta_z m / (mu_B beta_z)),
+    tau_c = sqrt(delta_z m / (mu_B beta_z)),  delta_z = sigma0 (checked),
 
 which is ~1e-7 s for heavy-atom numbers.  sg_run traces the order parameter,
 locates the crossing numerically, and reads the beam out at t_max through
@@ -37,7 +37,7 @@ class SGConfig:
     beta_z: float = 1.0e3  # T/m
     mass: float = MASS_SILVER  # kg
     mu_b: float = MU_B  # J/T
-    delta_z: float = 1.0e-9  # m, critical width scale
+    delta_z: float = 1.0e-9  # m, critical width; must equal sigma0
     c_minus: complex = 1.0 / math.sqrt(2.0)
     c_plus: complex = 1.0 / math.sqrt(2.0)
     sigma0: float = 1.0e-9  # m, packet width (frozen, no dissipation)
@@ -49,22 +49,14 @@ class SGConfig:
         for name in ("beta_z", "mass", "mu_b", "delta_z", "sigma0", "t_max"):
             if not getattr(self, name) > 0:
                 raise NonPositiveInput(f"{name} must be positive")
+        # The analytic tau reads delta_z, the trace's critical width is sigma0.
+        if self.delta_z != self.sigma0:
+            raise InvalidParameter(f"delta_z = {self.delta_z!r} must equal sigma0 = {self.sigma0!r}")
         if self.n_steps < 2:
             raise InvalidParameter("n_steps must be at least 2")
         total = abs(self.c_minus) ** 2 + abs(self.c_plus) ** 2
         if not abs(total - 1.0) <= 1e-10:
             raise InvalidParameter(f"|c_-|^2 + |c_+|^2 = {total!r}, expected 1")
-
-
-def sg_moments(config: SGConfig, t: float) -> dict[str, float]:
-    """Closed-form branch moments: z_pm = +/- (mu beta / 2m) t^2, p_pm = +/- mu beta t."""
-    a = config.mu_b * config.beta_z / config.mass  # acceleration magnitude
-    return {
-        "z_plus": 0.5 * a * t * t,
-        "z_minus": -0.5 * a * t * t,
-        "p_plus": config.mass * a * t,
-        "p_minus": -config.mass * a * t,
-    }
 
 
 def sg_critical_time(config: SGConfig) -> float:

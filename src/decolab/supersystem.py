@@ -5,17 +5,15 @@ joint state takes the branch form sum_n c_n |psi_n> (x) |u_n(t)>, each
 pointer branch riding its own effective potential v_n V2(x).  For an
 at-most-linear V2 every branch stays Gaussian and its moments follow the
 classical trajectory under the constant force f = -v_n V2'(x); that closed
-form is what order-parameter traces are built from.  Environment-extended
-branches admit the second-kind mixture (the diagonal system-pointer density
-operator left after tracing the environment), and bosonic product states can
-be symmetrized into the same branch bookkeeping.
+form is what order-parameter traces are built from.  Bosonic product states
+can be symmetrized into the same branch bookkeeping.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,13 +24,12 @@ from .errors import (
     EmptyInput,
     IndexOutOfRange,
     InvalidParameter,
-    MissingEnvironment,
     NonHermitian,
     NonlinearPotential,
     NonPositiveInput,
     TooManyParticles,
 )
-from .hilbert import NORM_TOL, OperatorMatrix, StateVector, projector
+from .hilbert import NORM_TOL, OperatorMatrix, StateVector
 from .wavepacket import (
     GaussianPacket, Grid1D, _angular_wavenumbers, discretize_gaussian, packet_overlap
 )
@@ -61,8 +58,8 @@ def _overlap(a, b) -> complex:
 class Branch:
     """One branch: a complex coefficient and a tuple of sub-state factors.
 
-    Measurement states use (sub1, sub2) or (sub1, sub2, subE); symmetrized
-    n-particle states carry n single-particle factors.
+    Measurement states use (sub1, sub2), the label and pointer states;
+    symmetrized n-particle states carry n single-particle factors.
     """
 
     coefficient: complex
@@ -75,10 +72,6 @@ class Branch:
     @property
     def sub2(self):
         return self.factors[1]
-
-    @property
-    def subE(self):
-        return self.factors[2] if len(self.factors) > 2 else None
 
     def product(self) -> StateVector | None:
         """Tensor of the factors, or None when a factor is an analytic packet."""
@@ -97,9 +90,9 @@ class CorrelatedState:
     Invariants checked at construction: branch weights sum to 1 within
     NORM_TOL, and the branches are mutually distinguishable.  With
     orthonormal_labels=True (the measurement layout) the first factors must
-    be pairwise orthogonal, and environment factors, when present, pairwise
-    orthogonal too.  Symmetrized states set orthonormal_labels=False and are
-    instead checked for pairwise orthogonality of the full branch products.
+    be pairwise orthogonal.  Symmetrized states set orthonormal_labels=False
+    and are instead checked for pairwise orthogonality of the full branch
+    products.
     """
 
     branches: tuple
@@ -120,11 +113,6 @@ class CorrelatedState:
                 for j in range(i + 1, len(branches)):
                     if not abs(_overlap(branches[i].sub1, branches[j].sub1)) < NORM_TOL:
                         raise InvalidParameter(f"label states of branches {i}, {j} are not orthogonal")
-                    if branches[i].subE is not None:
-                        if not abs(_overlap(branches[i].subE, branches[j].subE)) < NORM_TOL:
-                            raise InvalidParameter(
-                                f"environment states of branches {i}, {j} are not orthogonal"
-                            )
         else:
             cache: dict = {}
             for i in range(len(branches)):
@@ -148,18 +136,6 @@ class CorrelatedState:
     @property
     def weights(self) -> np.ndarray:
         return np.abs(self.coefficients) ** 2
-
-
-@dataclass(frozen=True)
-class SecondKindMixture:
-    """Diagonal system-pointer mixture: components (weight, P_sys, P_pointer)."""
-
-    components: tuple
-
-    def __post_init__(self):
-        total = sum(w for w, _, _ in self.components)
-        if not abs(total - 1.0) <= NORM_TOL:
-            raise InvalidParameter(f"mixture weights sum to {total!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -194,11 +170,6 @@ class InteractionHamiltonian:
         scale = max(float(np.max(np.abs(eigen))), 1e-300)
         if eigen.size > 1 and float(np.min(np.diff(eigen))) < DEGENERACY_RTOL * scale:
             raise DegenerateSpectrum("V1 spectrum is degenerate; branch labels not faithful")
-        object.__setattr__(self, "_v1_eigenvalues", eigen)
-
-    @property
-    def v1_eigenvalues(self) -> np.ndarray:
-        return self._v1_eigenvalues
 
 
 def von_neumann_couple(object_state: StateVector, pointer_index: int, pointer_dim: int) -> CorrelatedState:
@@ -280,28 +251,6 @@ def branch_evolve(
     if not np.all(misfit <= tolerance):
         raise NonlinearPotential("V2 is not affine over the packet support")
     return moved
-
-
-def second_kind_mixture(state: CorrelatedState) -> SecondKindMixture:
-    """Environment-trace of an (object, pointer, environment) branch state.
-
-    With orthonormal environment factors the trace kills every cross term,
-    leaving the diagonal mixture sum_n |c_n|^2 P_n (x) Q_n.
-    """
-    components = []
-    for branch in state.branches:
-        if branch.subE is None:
-            raise MissingEnvironment("every branch needs an environment factor")
-        if not isinstance(branch.sub2, StateVector):
-            raise DimensionMismatch("pointer factors must be StateVectors to form projectors")
-        components.append(
-            (
-                float(abs(branch.coefficient) ** 2),
-                projector(branch.sub1),
-                projector(branch.sub2),
-            )
-        )
-    return SecondKindMixture(tuple(components))
 
 
 def symmetrize_bose(states: Sequence[StateVector]) -> CorrelatedState:

@@ -146,12 +146,6 @@ class InterferenceReport:
     passes_off_diagonal: np.ndarray
     passes_a2: np.ndarray
 
-    @property
-    def all_pass(self) -> bool:
-        n = self.passes_a2.shape[0]
-        mask = ~np.eye(n, dtype=bool)
-        return bool(np.all(self.passes_a2[mask]))
-
     def passes_a1(self) -> np.ndarray:
         """Condition A1 at A1_RATIO for each state, read from the means and deviations."""
         return _a1_holds(self.means, self.deviations, A1_RATIO)
@@ -183,13 +177,21 @@ def packet_overlap(a: GaussianPacket, b: GaussianPacket) -> complex:
 def discretize_gaussian(grid: Grid1D, packet: GaussianPacket) -> StateVector:
     """Sample a Gaussian packet on the grid as a unit-norm StateVector.
 
-    Raises PacketOutsideGrid unless x0 +/- 6 sigma lies inside the grid.
+    Raises PacketOutsideGrid unless x0 +/- 6 sigma lies inside the grid, and
+    InvalidParameter unless the grid resolves the packet: sigma_x >= dx, and
+    |p0| + 6 sigma_p within the Nyquist momentum pi hbar / dx, above which
+    the momentum aliases.
     """
     lo, hi = packet.x0 - SUPPORT_SIGMAS * packet.sigma_x, packet.x0 + SUPPORT_SIGMAS * packet.sigma_x
     if lo < grid.x_min or hi > grid.x_max:
         raise PacketOutsideGrid(
             f"support [{lo:g}, {hi:g}] leaves grid [{grid.x_min:g}, {grid.x_max:g}]"
         )
+    if not packet.sigma_x >= grid.dx:
+        raise InvalidParameter(f"grid spacing {grid.dx:g} cannot resolve sigma_x = {packet.sigma_x:g}")
+    p_top, nyquist = abs(packet.p0) + SUPPORT_SIGMAS * packet.sigma_p, np.pi * HBAR / grid.dx
+    if not p_top <= nyquist:
+        raise InvalidParameter(f"|p0| + 6 sigma_p = {p_top:g} aliases above pi hbar / dx = {nyquist:g}")
     x = grid.xs
     envelope = np.exp(-((x - packet.x0) ** 2) / (4.0 * packet.sigma_x**2))
     phase = np.exp(1j * packet.p0 * x / HBAR)

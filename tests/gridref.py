@@ -74,9 +74,3 @@ def dense_momentum_matrix(n_points: int, dx: float) -> np.ndarray:
     k = wavenumbers(n_points, dx)
     p = f.conj().T @ (HBAR_REF * k[:, None] * f)
     return 0.5 * (p + p.conj().T)  # strip rounding asymmetry; Hermitian by construction
-
-
-def partial_trace_second(joint: np.ndarray, dim1: int, dim2: int) -> np.ndarray:
-    """rho_1 = Tr_2 |Psi><Psi| for a flat kron-ordered joint vector."""
-    m = np.asarray(joint, dtype=complex).reshape(dim1, dim2)
-    return m @ m.conj().T

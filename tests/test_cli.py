@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from decolab.cli import RunConfig, ScenarioResult, emit, main, parse_config, run
+from decolab.cli import SCHEMAS, RunConfig, ScenarioResult, emit, main, parse_config, run
 from decolab.constants import HBAR
 from decolab.errors import ConfigError, TypeMismatch, UnknownKey
 
@@ -412,29 +412,35 @@ def test_main_bad_mode_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["classicize", "--n-trials", "inf"],
-        ["classicize", "--seed", "inf"],
-        ["classicize", "--seed=-inf"],
-        ["classicize", "--eps", "nan"],
-        ["classicize", "--amplitudes", "1,nan"],
-        ["classicize", "--amplitudes", "1,infj"],
-        ["sterngerlach", "--t-max", "inf"],
-        ["sterngerlach", "--beta-z", "1e400"],
-        ["sterngerlach", "--c-minus", "nan+0j"],
-        ["sterngerlach", "--n-steps", "nan"],
-        ["bose", "--temps", "nan"],
-        ["bose", "--temps", "1e-6,-inf"],
-        ["wavepacket-check", "--sigma", "nan"],
-    ],
-)
+# Every real or complex flag of every scenario, each value written as
+# --key=value so argparse does not read -inf as an option.
+NON_FINITE_ARGVS = [
+    [scenario, f"--{key}={value}"]
+    for scenario, schema in SCHEMAS.items()
+    for key, (tag, _) in schema.items()
+    if tag in ("float", "complex", "floats", "complexes")
+    for value in ("nan", "inf", "-inf")
+]
+# Integer flags, the seed, overflowing literals and one bad element of a list.
+NON_FINITE_ARGVS += [
+    ["classicize", "--n-trials", "inf"],
+    ["classicize", "--seed", "inf"],
+    ["classicize", "--seed=-inf"],
+    ["classicize", "--amplitudes", "1,infj"],
+    ["sterngerlach", "--beta-z", "1e400"],
+    ["sterngerlach", "--c-minus", "nan+0j"],
+    ["sterngerlach", "--n-steps", "nan"],
+    ["bose", "--temps", "1e-6,-inf"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGVS)
 def test_main_non_finite_flag_exit_two(tmp_path, capsys, argv):
     out = tmp_path / "bad"
     assert main(argv + ["--out", str(out)]) == 2
-    assert "error" in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
+    key = argv[1].lstrip("-").split("=")[0]
+    assert f"(key: {key})" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("scenario", ["classicize", "sterngerlach"])
@@ -470,9 +476,19 @@ def test_main_fewer_than_one_trial_exit_one(tmp_path, capsys, scenario, n_trials
         ["sterngerlach", "--mu-b", "1e300", "--beta-z", "1e300"],
         ["sterngerlach", "--t-max", "1e200"],
         ["sterngerlach", "--beta-z", "1e300"],
-        # an unresolved packet is an eigenstate: A1's ratio is infinite
+        # sigma = dx / 100, unresolved: sampled, it is an eigenstate with an
+        # infinite A1 ratio
         ["wavepacket-check", "--grid-min=-1e-6", "--grid-max=1e-6", "--grid-points", "2001",
          "--x0", "5e-7", "--sigma", "1e-11"],
+        ["sterngerlach", "--delta-z", "4e-9"],
+        ["sterngerlach", "--sigma0", "4e-9"],
+        # sigma = 0.3 dx, unresolved: sampled, dx dp falls below hbar / 2
+        ["wavepacket-check", "--grid-min=-1e-6", "--grid-max=1e-6", "--grid-points", "2001",
+         "--x0", "5e-7", "--sigma", "3e-10"],
+        # p0 above the Nyquist momentum pi hbar / dx: sampled, p_mean aliases
+        ["wavepacket-check", "--p0", "2e-25"],
+        # the envelope's 4 sigma^2 underflows to 0
+        ["wavepacket-check", "--sigma", "1e-300"],
     ],
     ids=[
         "sg-beta-z", "sg-mass", "sg-n-steps", "sg-c-minus", "sg-pre-tau-n-trials",
@@ -482,6 +498,8 @@ def test_main_fewer_than_one_trial_exit_one(tmp_path, capsys, scenario, n_trials
         "bose-spacing-overflow", "bose-mass-t-c-overflow", "bose-wavelength-overflow",
         "sg-force-overflow", "sg-position-overflow", "sg-potential-overflow",
         "wp-infinite-ratio",
+        "sg-delta-z-mismatch", "sg-sigma0-mismatch",
+        "wp-under-resolved", "wp-aliased-momentum", "wp-sigma-underflow",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -490,6 +508,7 @@ def test_main_invalid_parameter_exit_one(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not (out / "summary.json").exists()
 

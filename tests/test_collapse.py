@@ -1,8 +1,7 @@
-"""Approximate symmetry transform, order-parameter traces, and collapse sampling.
+"""Phase spread, order-parameter traces, and collapse sampling.
 
-The exact transform from the Hilbert layer is the oracle for the approximate
-one; binomial confidence intervals (fixed seed schedule, hence deterministic)
-are the oracle for the sampler.
+Binomial confidence intervals (fixed seed schedule, hence deterministic) are
+the oracle for the sampler.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from hypothesis import strategies as st
 from decolab.collapse import (
     PHASE_WEIGHT_FLOOR,
     OrderParameterTrace,
-    approx_w_transform,
     classicize,
     decoherence_phase_spread,
     order_parameter_trace,
@@ -28,7 +26,7 @@ from decolab.collapse import (
     trace_table,
 )
 from decolab.errors import DimensionMismatch, EmptyTimes
-from decolab.hilbert import apply_w, make_state
+from decolab.hilbert import make_state
 from decolab.wavepacket import GaussianPacket
 
 SAMPLING_TRIALS = 100_000
@@ -37,64 +35,6 @@ CI_SIGMAS = 3.0
 
 def binomial_ci(w: float, n: int) -> float:
     return CI_SIGMAS * math.sqrt(w * (1.0 - w) / n)
-
-
-# ---------------------------------------------------- approximate transform
-
-
-def test_approx_transform_basis_state_matches_exact():
-    psi = make_state([1.0, 0.0])
-    for eps in (0.3, math.pi, 5.0):
-        approx = approx_w_transform(psi, eps)
-        exact = apply_w(psi, psi, eps)
-        assert np.max(np.abs(approx.amplitudes - exact.amplitudes)) == 0.0
-
-
-def test_approx_transform_equal_weights_is_global_phase():
-    psi = make_state([1.0, 1.0])
-    out = approx_w_transform(psi, 2.0 * math.pi)
-    # both branches pick up e^{i pi}: a global phase, physically the input
-    ratio = out.amplitudes / psi.amplitudes
-    assert np.max(np.abs(ratio - ratio[0])) < 1e-15
-    assert abs(ratio[0] + 1.0) < 1e-14
-
-
-def test_approx_transform_unbalanced_deviation_from_exact():
-    # c = (sqrt .8, sqrt .2), eps = pi: branch phases e^{i .8 pi}, e^{i .2 pi}
-    # while the exact transform applies the single global phase e^{i pi};
-    # the gap per branch is 2|sin(eps(1-w_n)/2)|
-    psi = make_state([math.sqrt(0.8), math.sqrt(0.2)])
-    eps = math.pi
-    approx = approx_w_transform(psi, eps)
-    expected = psi.amplitudes * np.exp(1j * eps * np.abs(psi.amplitudes) ** 2)
-    assert np.max(np.abs(approx.amplitudes - expected)) < 1e-15
-    exact = apply_w(psi, psi, eps)
-    deviation = np.linalg.norm(approx.amplitudes - exact.amplitudes)
-    ref = math.sqrt(
-        0.8 * 4.0 * math.sin(eps * 0.2 / 2.0) ** 2
-        + 0.2 * 4.0 * math.sin(eps * 0.8 / 2.0) ** 2
-    )
-    assert math.isclose(deviation, ref, rel_tol=1e-12)
-
-
-@seed(11)
-@settings(max_examples=60, deadline=None)
-@given(
-    dim=st.integers(min_value=1, max_value=6),
-    key=st.integers(min_value=0, max_value=2**31 - 1),
-    eps=st.floats(min_value=-8.0, max_value=8.0),
-    alpha=st.floats(min_value=-3.0, max_value=3.0),
-)
-def test_approx_transform_norm_and_phase_covariance(dim, key, eps, alpha):
-    rng = np.random.default_rng(key)
-    psi = make_state(rng.normal(size=dim) + 1j * rng.normal(size=dim))
-    out = approx_w_transform(psi, eps)
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
-    # weights untouched, so a global phase commutes through
-    shifted = make_state(psi.amplitudes * np.exp(1j * alpha))
-    lhs = approx_w_transform(shifted, eps).amplitudes
-    rhs = out.amplitudes * np.exp(1j * alpha)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 # -------------------------------------------------------------- phase spread

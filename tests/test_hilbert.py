@@ -30,13 +30,12 @@ from decolab.hilbert import (
     StateVector,
     apply_w,
     exp_projector,
-    expectation,
     expectation_and_deviation,
     gauss_decompose,
     make_state,
     projector,
-    tensor,
 )
+from decolab.supersystem import Branch
 from decolab.wavepacket import check_a1, check_a2
 
 SERIES_TERMS = 60
@@ -338,13 +337,6 @@ def test_expectation_and_deviation_pauli_examples():
     assert abs(mean_x - 1.0) < 1e-15 and dev_x < 1e-7
 
 
-def test_expectation_general_complex_value():
-    psi = make_state([1.0, 1.0])
-    raising = OperatorMatrix(np.array([[0, 0], [1, 0]], dtype=complex))
-    val = expectation(raising, psi)
-    assert abs(val - 0.5) < 1e-15
-
-
 def test_deviation_requires_hermitian_flag():
     psi = make_state([1.0, 0.0])
     op = OperatorMatrix(np.array([[0, 1], [1, 0]], dtype=complex))
@@ -366,7 +358,6 @@ def test_diagonal_storage_is_bit_identical_to_dense(dim, exponent, key):
     dense = OperatorMatrix(np.diag(values.astype(complex)), hermitian=True)
     states = [random_state(rng, dim) for _ in range(3)]
     for psi in states:
-        assert expectation(diag, psi) == expectation(dense, psi)
         assert expectation_and_deviation(diag, psi) == expectation_and_deviation(dense, psi)
         assert check_a1(psi, diag) == check_a1(psi, dense)
     report_diag, report_dense = check_a2(states, diag), check_a2(states, dense)
@@ -381,7 +372,7 @@ def test_tensor_matches_loop_oracle():
     rng = np.random.default_rng(3)
     a = random_state(rng, 3)
     b = random_state(rng, 4)
-    joint = tensor(a, b)
+    joint = Branch(1.0, (a, b)).product()
     assert joint.dim == 12
     ref = kron_loops(a.amplitudes, b.amplitudes)
     assert np.max(np.abs(joint.amplitudes - ref)) < 1e-15
@@ -398,7 +389,7 @@ def test_tensor_norm_and_overlap_factorize(da, db, key):
     rng = np.random.default_rng(key)
     a1, a2 = random_state(rng, da), random_state(rng, da)
     b1, b2 = random_state(rng, db), random_state(rng, db)
-    lhs = tensor(a1, b1).overlap(tensor(a2, b2))
+    lhs = Branch(1.0, (a1, b1)).product().overlap(Branch(1.0, (a2, b2)).product())
     rhs = a1.overlap(a2) * b1.overlap(b2)
     assert abs(lhs - rhs) < 1e-12
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from decolab.constants import HBAR, MU_B
-from decolab.errors import TMaxBeforeCritical
+from decolab.errors import InvalidParameter, TMaxBeforeCritical
 from decolab.scenarios.sterngerlach import (
     BRANCH_LABELS,
     SGConfig,
@@ -22,7 +22,6 @@ from decolab.scenarios.sterngerlach import (
     sg_correlated_state,
     sg_critical_time,
     sg_hamiltonian,
-    sg_moments,
     sg_run,
 )
 from decolab.supersystem import branch_evolve, schrodinger_residual
@@ -35,6 +34,17 @@ CLOSED_FORM_TOL = 1e-12
 RESIDUAL_FLOOR_RTOL = 2e-3
 
 paper_config = lambda **kw: SGConfig(**{**PAPER, **kw})
+
+
+def sg_moments(config: SGConfig, t: float) -> dict[str, float]:
+    """Closed-form oracle: z_pm = +/- (mu beta / 2m) t^2, p_pm = +/- mu beta t."""
+    a = config.mu_b * config.beta_z / config.mass  # acceleration magnitude
+    return {
+        "z_plus": 0.5 * a * t * t,
+        "z_minus": -0.5 * a * t * t,
+        "p_plus": config.mass * a * t,
+        "p_minus": -config.mass * a * t,
+    }
 
 
 # ------------------------------------------------------------ closed forms
@@ -95,7 +105,7 @@ def test_critical_time_silver_codata():
 
 def test_critical_time_square_root_scaling():
     base = sg_critical_time(SGConfig())
-    wider = sg_critical_time(SGConfig(delta_z=4e-9))
+    wider = sg_critical_time(SGConfig(delta_z=4e-9, sigma0=4e-9))
     assert math.isclose(wider, 2.0 * base, rel_tol=1e-14)
 
 
@@ -133,7 +143,7 @@ def test_correlated_state_structure():
 def test_hamiltonian_couplings_give_opposite_forces():
     cfg = SGConfig()
     ham = sg_hamiltonian(cfg)
-    eig = np.sort(ham.v1_eigenvalues)
+    eig = np.linalg.eigvalsh(ham.v1.entries)
     assert math.isclose(eig[0], -cfg.mu_b, rel_tol=1e-15)
     assert math.isclose(eig[1], cfg.mu_b, rel_tol=1e-15)
     xs = np.array([0.0, 1.0, 2.0])
@@ -199,6 +209,10 @@ def test_config_validation():
         SGConfig(c_minus=1.0, c_plus=1.0)
     with pytest.raises(ValueError):
         SGConfig(beta_z=-1.0)
+    # the analytic tau reads delta_z, the trace's critical width is sigma0
+    for widths in ({"delta_z": 4e-9}, {"sigma0": 4e-9}):
+        with pytest.raises(InvalidParameter, match="delta_z = .* must equal sigma0 = "):
+            SGConfig(**widths)
 
 
 # ----------------------------------------------------------------- residual

@@ -1,8 +1,8 @@
-"""Correlated states, measurement coupling, branch dynamics, and mixtures.
+"""Correlated states, measurement coupling, branch dynamics, and Bose symmetrization.
 
-The split-step propagator in gridref is the dynamics oracle; partial traces
-and permutation enumerations are computed longhand before being compared to
-the package's closed forms.
+The split-step propagator in gridref is the dynamics oracle; permutation
+enumerations are computed longhand before being compared to the package's
+closed forms.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from gridref import (
     grid_moments,
     grid_momentum_moments,
     kinetic_exact,
-    partial_trace_second,
     split_step,
 )
 from decolab.collapse import order_parameter_trace
@@ -31,22 +30,19 @@ from decolab.errors import (
     EmptyInput,
     IndexOutOfRange,
     InvalidParameter,
-    MissingEnvironment,
     NonlinearPotential,
     TooManyParticles,
 )
-from decolab.hilbert import OperatorMatrix, make_state, projector
+from decolab.hilbert import OperatorMatrix, make_state
 from decolab.scenarios.sterngerlach import SGConfig, sg_hamiltonian
 from decolab.supersystem import (
     Branch,
     CorrelatedState,
     InteractionHamiltonian,
-    SecondKindMixture,
     branch_evolve,
     hamiltonian_apply,
     residual_from_family,
     schrodinger_residual,
-    second_kind_mixture,
     symmetrize_bose,
     to_product_vector,
     von_neumann_couple,
@@ -55,7 +51,6 @@ from decolab.wavepacket import GaussianPacket, Grid1D, discretize_gaussian
 
 ORACLE_RTOL = 1e-8
 EHRENFEST_RTOL = 1e-8
-MIXTURE_TOL = 1e-12
 RESIDUAL_SOLVER_TOL = 1e-6
 
 ZERO2 = OperatorMatrix(np.zeros((2, 2), dtype=complex), hermitian=True)
@@ -226,7 +221,7 @@ def test_hamiltonian_requires_positive_mass():
 
 def test_hamiltonian_exposes_sorted_physical_eigenvalues():
     ham = affine_ham(1e3, 1e-25)
-    eigen = ham.v1_eigenvalues
+    eigen = np.linalg.eigvalsh(ham.v1.entries)
     assert eigen.shape == (2,)
     assert set(np.round(eigen / 1e-23)) == {-1.0, 1.0}
 
@@ -310,13 +305,6 @@ def test_affinity_guard_checks_the_window_of_every_sample_time():
         order_parameter_trace(branches, "position", times)
 
 
-def test_second_kind_mixture_rejects_bad_total_weight():
-    with pytest.raises(ValueError):
-        SecondKindMixture(((0.5, None, None), (0.25, None, None)))
-    with pytest.raises(ValueError):  # a NaN sum fails the accept test
-        SecondKindMixture(((np.nan, None, None), (0.5, None, None)))
-
-
 @pytest.mark.parametrize(
     "v2",
     [
@@ -387,66 +375,6 @@ def test_branch_evolve_ehrenfest_relations(t_frac, v_sign):
     dp_dt = (p[t + h] - p[t - h]) / (2 * h)
     assert math.isclose(dx_dt, p[t] / mass, rel_tol=EHRENFEST_RTOL)
     assert math.isclose(dp_dt, -v_eig * slope, rel_tol=EHRENFEST_RTOL)
-
-
-# ------------------------------------------------------ second-kind mixture
-
-
-def env_state(c: tuple, dim: int = 4) -> CorrelatedState:
-    branches = []
-    for n, cn in enumerate(c):
-        e = [0.0] * dim
-        e[n] = 1.0
-        branches.append(
-            Branch(cn, (make_state(e), make_state(e), make_state(e)))
-        )
-    return CorrelatedState(branches=tuple(branches))
-
-
-def test_second_kind_mixture_single_branch():
-    state = env_state((1.0,), dim=2)
-    mixture = second_kind_mixture(state)
-    assert len(mixture.components) == 1
-    w, p1, p2 = mixture.components[0]
-    assert w == pytest.approx(1.0)
-    assert np.allclose(p1.entries, [[1.0, 0.0], [0.0, 0.0]])
-
-
-def test_second_kind_mixture_weights():
-    state = env_state((math.sqrt(0.8), math.sqrt(0.2)), dim=2)
-    mixture = second_kind_mixture(state)
-    weights = [w for w, _, _ in mixture.components]
-    assert np.allclose(weights, [0.8, 0.2], atol=1e-12)
-    assert math.isclose(sum(weights), 1.0, abs_tol=1e-12)
-
-
-def test_second_kind_mixture_against_partial_trace_oracle():
-    rng = np.random.default_rng(29)
-    c = rng.normal(size=4) + 1j * rng.normal(size=4)
-    c = tuple(c / np.linalg.norm(c))
-    state = env_state(c, dim=4)
-    mixture = second_kind_mixture(state)
-    # longhand: trace the environment out of the full 64-dim projector
-    joint = to_product_vector(state)
-    rho12 = partial_trace_second(joint, dim1=16, dim2=4)
-    rebuilt = np.zeros((16, 16), dtype=complex)
-    for w, p1, p2 in mixture.components:
-        rebuilt += w * np.kron(p1.entries, p2.entries)
-    assert np.max(np.abs(rebuilt - rho12)) < MIXTURE_TOL
-
-
-def test_second_kind_mixture_invariant_under_branch_relabeling():
-    state = env_state((math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2)), dim=3)
-    swapped = CorrelatedState(branches=state.branches[::-1])
-    a = sorted(w for w, _, _ in second_kind_mixture(state).components)
-    b = sorted(w for w, _, _ in second_kind_mixture(swapped).components)
-    assert np.allclose(a, b, atol=1e-15)
-
-
-def test_second_kind_mixture_requires_environment():
-    state = basis_pair_state(math.sqrt(0.5), math.sqrt(0.5))
-    with pytest.raises(MissingEnvironment):
-        second_kind_mixture(state)
 
 
 # -------------------------------------------------------- bose symmetrizer

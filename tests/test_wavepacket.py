@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 from gridref import dense_momentum_matrix, grid_moments, grid_momentum_moments
 from decolab.constants import HBAR
-from decolab.errors import DerivativeUndefined, PacketOutsideGrid
+from decolab.errors import DerivativeUndefined, InvalidParameter, PacketOutsideGrid
 from decolab.hilbert import OperatorMatrix, StateVector, make_state
 from decolab.wavepacket import (
     A1_RATIO,
     A2_OFFDIAG_FRAC,
+    SUPPORT_SIGMAS,
     GaussianPacket,
     Grid1D,
     check_a1,
@@ -145,6 +146,20 @@ def test_heisenberg_product_is_exactly_minimal():
 def test_packet_outside_grid_raises():
     with pytest.raises(PacketOutsideGrid):
         discretize_gaussian(Grid1D(0.0, 1e-6, 256), GaussianPacket(0.99e-6, 0.0, 1e-8, 1e-25))
+
+
+def test_unresolved_packet_raises():
+    grid = Grid1D(-1e-6, 1e-6, 2001)  # dx = 1e-9
+    discretize_gaussian(grid, GaussianPacket(0.0, 0.0, grid.dx, 1e-25))
+    with pytest.raises(InvalidParameter, match="cannot resolve"):
+        discretize_gaussian(grid, GaussianPacket(0.0, 0.0, 0.99 * grid.dx, 1e-25))
+    # largest |p0| a packet of sigma 2e-8 may carry: pi hbar / dx - 6 sigma_p
+    top = math.pi * HBAR / grid.dx - SUPPORT_SIGMAS * HBAR / (2.0 * 2e-8)
+    for p0 in (0.999 * top, -0.999 * top):
+        discretize_gaussian(grid, GaussianPacket(0.0, p0, 2e-8, 1e-25))
+    for p0 in (1.001 * top, -1.001 * top):
+        with pytest.raises(InvalidParameter, match="alias"):
+            discretize_gaussian(grid, GaussianPacket(0.0, p0, 2e-8, 1e-25))
 
 
 def test_grid_state_rows_unweight_density():
@@ -274,14 +289,14 @@ def test_a2_boundary_pair_passes_inclusively():
     gap, thr = report.pair_gap[0, 1], report.pair_threshold[0, 1]
     assert 0.0 <= gap - thr < 1e-15
     assert report.passes_a2[0, 1]
-    assert report.all_pass
+    assert report.passes_a2.all()
 
 
 def test_a2_separated_packets_pass():
     a = discretize_gaussian(REF_GRID, GaussianPacket(0.0, 0.0, 2e-8, 1e-25))
     b = discretize_gaussian(REF_GRID, GaussianPacket(1e-6, 0.0, 2e-8, 1e-25))
     report = check_a2([a, b], position_operator(REF_GRID))
-    assert report.all_pass
+    assert report.passes_a2.all()
     assert report.off_diagonal_magnitude[0, 1] < 1e-12
 
 
@@ -289,7 +304,7 @@ def test_a2_overlapping_packets_fail():
     a = discretize_gaussian(REF_GRID, GaussianPacket(1.00e-6, 0.0, 2e-8, 1e-25))
     b = discretize_gaussian(REF_GRID, GaussianPacket(1.02e-6, 0.0, 2e-8, 1e-25))
     report = check_a2([a, b], position_operator(REF_GRID))
-    assert not report.all_pass
+    assert not report.passes_a2.all()
 
 
 def test_a2_off_diagonal_interference_fails():
@@ -417,3 +432,28 @@ def test_discretization_norm_and_uncertainty_floor(x0_frac, p_sig, log_sigma):
     _, dev_x = grid_moments(psi.amplitudes, grid.xs)
     _, dev_p = grid_momentum_moments(psi.amplitudes, grid.dx)
     assert dev_x * dev_p >= HBAR / 2.0 * (1.0 - 1e-9)
+
+
+# An accepted packet down to sigma = dx and up to the Nyquist momentum keeps
+# the Heisenberg floor and its mean momentum.  At sigma = dx the product sits
+# about 2e-8 below hbar / 2 and p_mean about 2e-6 sigma_p off p0, so the
+# tolerances are 1e-7 and 1e-5 sigma_p.
+@seed(19)
+@settings(max_examples=80, deadline=None)
+@given(
+    n_points=st.integers(min_value=512, max_value=2048),
+    resolution=st.floats(min_value=1.0, max_value=30.0),
+    x0_frac=st.floats(min_value=-1.0, max_value=1.0),
+    p0_frac=st.floats(min_value=-0.999, max_value=0.999),
+)
+def test_accepted_packet_keeps_floor_and_momentum(n_points, resolution, x0_frac, p0_frac):
+    grid = Grid1D(-1e-6, 1e-6, n_points)
+    sigma = resolution * grid.dx
+    room = grid.x_max - SUPPORT_SIGMAS * sigma
+    p_room = math.pi * HBAR / grid.dx - SUPPORT_SIGMAS * HBAR / (2.0 * sigma)
+    packet = GaussianPacket(0.999 * x0_frac * room, p0_frac * p_room, sigma, 1e-25)
+    psi = discretize_gaussian(grid, packet)
+    _, dev_x = grid_moments(psi.amplitudes, grid.xs)
+    p_mean, dev_p = grid_momentum_moments(psi.amplitudes, grid.dx)
+    assert dev_x * dev_p >= HBAR / 2.0 * (1.0 - 1e-7)
+    assert abs(p_mean - packet.p0) <= 1e-5 * packet.sigma_p
