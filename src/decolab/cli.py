@@ -38,15 +38,7 @@ from .collapse import (
     trace_table,
 )
 from .constants import CONSTANTS_VERSION, MASS_RB87, MASS_SILVER, MU_B, PAPER_ROUND
-from .errors import (
-    ConfigError,
-    DecolabError,
-    InvalidParameter,
-    MissingRequired,
-    NonPositiveInput,
-    TypeMismatch,
-    UnknownKey,
-)
+from .errors import ConfigError, DecolabError, InvalidParameter
 from .hilbert import make_state
 from .scenarios import (
     BoseConfig,
@@ -174,7 +166,7 @@ def _convert(key: str, tag: str, raw):
             raise ValueError
         return text
     except (ValueError, OverflowError) as exc:  # int(inf) overflows
-        raise TypeMismatch(key, tag, raw) from exc
+        raise ConfigError(key, f"expected {tag}, got {raw!r}") from exc
 
 
 def _read_config_file(path: Path) -> dict[str, str]:
@@ -184,7 +176,7 @@ def _read_config_file(path: Path) -> dict[str, str]:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise TypeMismatch(f"{path}:{line_number}", "key = value", line)
+            raise ConfigError(f"{path}:{line_number}", f"expected key = value, got {line!r}")
         key, value = stripped.split("=", 1)
         # files may spell keys with underscores; flags use hyphens
         values[key.strip().replace("_", "-")] = value.strip()
@@ -220,7 +212,7 @@ def parse_config(argv: list[str], file: str | Path | None = None) -> RunConfig:
         file_values = _read_config_file(Path(config_path))
         for key in file_values:
             if key not in schema and key not in COMMON_KEYS:
-                raise UnknownKey(key)
+                raise ConfigError(key, "unknown configuration key")
 
     def resolve(key: str, tag: str, default):
         if namespace.get(key) is not None:
@@ -232,7 +224,7 @@ def parse_config(argv: list[str], file: str | Path | None = None) -> RunConfig:
     params = {key: resolve(key, tag, default) for key, (tag, default) in schema.items()}
     for key, value in params.items():
         if isinstance(value, tuple) and not value:
-            raise MissingRequired(key)
+            raise ConfigError(key, "missing required configuration key")
     seed = namespace.get("seed")
     if seed is None:
         seed = file_values.get("seed")
@@ -241,9 +233,9 @@ def parse_config(argv: list[str], file: str | Path | None = None) -> RunConfig:
     seed = DEFAULT_SEED if seed is None else _convert("seed", "int", seed)
     out = namespace.get("out") or file_values.get("out") or "runs"
     formats_raw = namespace.get("formats") or file_values.get("formats") or "json,csv"
-    formats = frozenset(p.strip() for p in str(formats_raw).split(",") if p.strip())
+    formats = frozenset(p.strip() for p in formats_raw.split(",") if p.strip())
     if not formats <= {"json", "csv"}:
-        raise TypeMismatch("formats", "subset of json,csv", str(formats_raw))
+        raise ConfigError("formats", f"expected subset of json,csv, got {formats_raw!r}")
     paper = bool(namespace.get("paper-constants")) or bool(
         _convert("paper-constants", "bool", file_values.get("paper-constants", "false"))
     )
@@ -317,7 +309,7 @@ def _run_bell(config: RunConfig) -> ScenarioResult:
         raise DecolabError(f"unknown bell mode {mode!r}; use singlet or audited")
     n_configs, n_branches = config.params["n-configs"], config.params["n-branches"]
     if n_configs < 1:
-        raise NonPositiveInput(f"n_configs must be at least 1, got {n_configs}")
+        raise InvalidParameter(f"n_configs must be at least 1, got {n_configs}")
     seeds = (split_seed(config.seed, i) for i in range(n_configs))
     audited = (audited_configuration(s, n_branches=n_branches) for s in seeds)
     reports = [bell_evaluate(state, obs, sign=sign, enforce_approx=True) for state, obs in audited]

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyTimes, InvalidParameter, NonPositiveInput
+from .errors import InvalidParameter
 from .hilbert import StateVector
 from .wavepacket import GaussianPacket
 
@@ -104,12 +104,12 @@ def order_parameter_trace(
     """
     t = np.asarray(times, dtype=float)
     if t.size == 0:
-        raise EmptyTimes("need at least one sample time")
+        raise InvalidParameter("need at least one sample time")
     if t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
         raise InvalidParameter("times must be strictly increasing starting at 0")
     n = len(branches)
     if n < 2:
-        raise DimensionMismatch("order parameter needs at least two branches")
+        raise InvalidParameter("order parameter needs at least two branches")
     means = np.zeros((n, t.size))
     devs = np.zeros((n, t.size))
     for b, branch in enumerate(branches):
@@ -143,7 +143,7 @@ def sample_collapse(psi: StateVector, n_trials: int, seed: int) -> np.ndarray:
     remainder, so zero-weight branches are never drawn.
     """
     if n_trials < 1:
-        raise NonPositiveInput(f"n_trials must be at least 1, got {n_trials}")
+        raise InvalidParameter(f"n_trials must be at least 1, got {n_trials}")
     cumulative = np.cumsum(np.abs(psi.amplitudes) ** 2)
     u = np.random.Generator(np.random.PCG64(int(seed) & _MASK64)).random(n_trials)
     return np.minimum(np.searchsorted(cumulative, u, side="right"), psi.dim - 1)
@@ -164,7 +164,7 @@ def classicize(
     weight, as sample_collapse(psi, n_trials, seed).
     """
     if trace.n_branches != psi.dim:
-        raise DimensionMismatch("trace was computed for a different branch family")
+        raise InvalidParameter("trace was computed for a different branch family")
     if trace.tau is None or t < trace.tau:
         return None
     return sample_collapse(psi, n_trials, seed)

@@ -20,14 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyInput,
-    InvalidParameter,
-    NonHermitian,
-    NonHermitianDeviation,
-    ZeroVector,
-)
+from .errors import InvalidParameter
 
 # Norm drift allowed for anything that claims to be a unit vector or unitary.
 NORM_TOL = 1e-10
@@ -56,7 +49,7 @@ class StateVector:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size == 0:
-            raise EmptyInput("state vector needs a non-empty 1-d amplitude array")
+            raise InvalidParameter("state vector needs a non-empty 1-d amplitude array")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise InvalidParameter(
@@ -71,7 +64,7 @@ class StateVector:
     def overlap(self, other: "StateVector") -> complex:
         """<self|other>."""
         if self.dim != other.dim:
-            raise DimensionMismatch(f"dims {self.dim} and {other.dim} differ")
+            raise InvalidParameter(f"dims {self.dim} and {other.dim} differ")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
@@ -95,10 +88,10 @@ class OperatorMatrix:
         m = np.asarray(self.entries, dtype=complex)
         diagonal = m.ndim == 1
         if m.size == 0 or not (diagonal or (m.ndim == 2 and m.shape[0] == m.shape[1])):
-            raise DimensionMismatch(f"operator must be square or diagonal, got shape {m.shape}")
+            raise InvalidParameter(f"operator must be square or diagonal, got shape {m.shape}")
         adjoint = m.conj() if diagonal else m.conj().T
         if self.hermitian and not np.max(np.abs(m - adjoint)) <= ALG_TOL * np.max(np.abs(m)):
-            raise NonHermitian("hermitian flag set but M != M^dagger")
+            raise InvalidParameter("hermitian flag set but M != M^dagger")
         if self.unitary:
             defect = np.abs(m) ** 2 - 1.0 if diagonal else adjoint @ m - np.eye(m.shape[0])
             drift = np.max(np.abs(defect))
@@ -155,7 +148,7 @@ def make_state(amplitudes) -> StateVector:
     """
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.ndim != 1 or amps.size == 0:
-        raise EmptyInput("make_state needs a non-empty 1-d amplitude sequence")
+        raise InvalidParameter("make_state needs a non-empty 1-d amplitude sequence")
     peak = float(np.max(np.abs(amps)))
     if peak > 0.0 and not _SQUARE_SAFE_MIN <= peak <= _SQUARE_SAFE_MAX:
         # Real and imaginary parts apart: complex division overflows for a
@@ -163,7 +156,7 @@ def make_state(amplitudes) -> StateVector:
         amps = amps.real / peak + 1j * (amps.imag / peak)
     norm = float(np.linalg.norm(amps))
     if norm == 0.0:
-        raise ZeroVector("cannot normalize the zero vector")
+        raise InvalidParameter("cannot normalize the zero vector")
     return StateVector(amps / norm)
 
 
@@ -189,7 +182,7 @@ def apply_w(psi: StateVector, chi: StateVector, eps: float) -> StateVector:
     otherwise: chi + s (e^{i eps} - 1) psi.
     """
     if psi.dim != chi.dim:
-        raise DimensionMismatch(f"dims {psi.dim} and {chi.dim} differ")
+        raise InvalidParameter(f"dims {psi.dim} and {chi.dim} differ")
     s = np.vdot(psi.amplitudes, chi.amplitudes)
     if abs(abs(s) - 1.0) < ALG_TOL:
         out = np.exp(1j * eps) * chi.amplitudes
@@ -205,20 +198,20 @@ def deviation_from_moments(mean: float, second: float) -> float:
 
     The variance can dip slightly below zero from rounding; anything within
     -ALG_TOL <A^2> is clamped to zero, so the clamp does not depend on the
-    units of A.  Anything worse, or a NaN, is a bug in the operator and raises.
+    units of A.  Anything worse, or a NaN, raises InvalidParameter.
     """
     variance = second - mean * mean
     if not variance >= -ALG_TOL * second:
-        raise NonHermitian(f"negative variance {variance:g} beyond rounding tolerance")
+        raise InvalidParameter(f"negative variance {variance:g} beyond rounding tolerance")
     return float(np.sqrt(max(variance, 0.0)))
 
 
 def expectation_and_deviation(op: OperatorMatrix, psi: StateVector) -> tuple[float, float]:
     """Mean and standard deviation of a Hermitian observable (see deviation_from_moments)."""
     if not op.hermitian:
-        raise NonHermitianDeviation("deviation is defined for Hermitian operators only")
+        raise InvalidParameter("deviation is defined for Hermitian operators only")
     if op.dim != psi.dim:
-        raise DimensionMismatch(f"dims {op.dim} and {psi.dim} differ")
+        raise InvalidParameter(f"dims {op.dim} and {psi.dim} differ")
     a_psi = op.apply(psi.amplitudes)
     mean = float(np.vdot(psi.amplitudes, a_psi).real)
     second = float(np.vdot(a_psi, a_psi).real)  # <A^2> via |A psi|^2, exact for Hermitian A

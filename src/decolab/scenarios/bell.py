@@ -15,18 +15,18 @@ bell_evaluate builds one element_table <s_j|X|s_k> per observable and
 factor; the correlators and branch means are read from those tables, and the
 A1/A2 audit reads interference_report over the second factor's tables.
 Audited configurations place their packets on a fixed lattice of cells, so
-each cell's discretized packet is built once per grid and process and
-shared, read-only, by every branch that sits on it.
+each cell's discretized packet is built once per process and shared,
+read-only, by every branch that sits on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
-from ..errors import ConditionViolated, DimensionMismatch, InvalidParameter
+from ..errors import InvalidParameter
 from ..hilbert import OperatorMatrix, StateVector
 from ..supersystem import Branch, CorrelatedState
 from ..wavepacket import (
@@ -97,7 +97,7 @@ def bell_evaluate(
 
     A and C act on the first factor and B and D on the second.  With
     enforce_approx=True the branch means of every observable on both
-    factors must reach magnitude 1 (ConditionViolated otherwise), the packet
+    factors must reach magnitude 1 (InvalidParameter otherwise), the packet
     conditions are audited on the second basis, and all four correlators are
     computed cross-term-free.  With enforce_approx=False everything is exact,
     which is how the singlet's 2 sqrt 2 violation is exhibited.  chsh_value
@@ -109,12 +109,12 @@ def bell_evaluate(
         raise InvalidParameter("sign must be +1 or -1")
     factors = ([b.sub1 for b in state.branches], [b.sub2 for b in state.branches])
     if not all(isinstance(s, StateVector) for states in factors for s in states):
-        raise DimensionMismatch("bell_evaluate needs StateVector branch factors")
+        raise InvalidParameter("bell_evaluate needs StateVector branch factors")
     # observable indices each factor needs: its own pair, or all four for the audit
     needed = ((0, 1, 2, 3), (0, 1, 2, 3)) if enforce_approx else ((0, 2), (1, 3))
     for states, indices in zip(factors, needed):
         if any(obs[i].dim != s.dim for i in indices for s in states):
-            raise DimensionMismatch("observables must act on the factors they are paired with")
+            raise InvalidParameter("observables must act on the factors they are paired with")
     t1, t2 = (
         {i: element_table(states, obs[i]) for i in indices}
         for states, indices in zip(factors, needed)
@@ -131,7 +131,7 @@ def bell_evaluate(
                     magnitude = abs(float(table[n, n].real))
                     condition_min = min(condition_min, magnitude)
                     if magnitude < 1.0 - CONDITION_TOL:
-                        raise ConditionViolated(
+                        raise InvalidParameter(
                             f"branch mean magnitude {magnitude:g} is below 1"
                         )
         approx_ok = _audit_packet_conditions(t2.values())
@@ -186,25 +186,25 @@ _CELL_COUNT = 7
 _CELL_SPACING = 4.0e-6
 _CELL_SIGMA = 2.0e-7
 _CELL_MASS = 1.0e-25
-_DEFAULT_GRID = Grid1D(-1.4e-5, 1.4e-5, 1024)
+_CELL_GRID = Grid1D(-1.4e-5, 1.4e-5, 1024)
 
 
 def _cell_center(i: int) -> float:
     return (i - (_CELL_COUNT - 1) / 2.0) * _CELL_SPACING
 
 
-@lru_cache(maxsize=8)
-def _cell_layout(grid: Grid1D) -> tuple[tuple[StateVector, ...], np.ndarray]:
+@cache
+def _cell_layout() -> tuple[tuple[StateVector, ...], np.ndarray]:
     """Each lattice cell's discretized packet, and the cell nearest each grid point.
 
-    Both are read-only, so every branch and observable on the grid shares them.
+    Both are read-only, so every branch and observable shares them.
     """
     states = tuple(
-        discretize_gaussian(grid, GaussianPacket(_cell_center(i), 0.0, _CELL_SIGMA, _CELL_MASS))
+        discretize_gaussian(_CELL_GRID, GaussianPacket(_cell_center(i), 0.0, _CELL_SIGMA, _CELL_MASS))
         for i in range(_CELL_COUNT)
     )
     idx = np.clip(
-        np.rint((grid.xs - _cell_center(0)) / _CELL_SPACING).astype(int), 0, _CELL_COUNT - 1
+        np.rint((_CELL_GRID.xs - _cell_center(0)) / _CELL_SPACING).astype(int), 0, _CELL_COUNT - 1
     )
     idx.flags.writeable = False
     return states, idx
@@ -214,17 +214,17 @@ def _step_observable(cell_index: np.ndarray, signs: np.ndarray) -> OperatorMatri
     return OperatorMatrix(signs[cell_index], hermitian=True)
 
 
-def audited_configuration(seed: int, n_branches: int = 2, grid: Grid1D | None = None):
+def audited_configuration(seed: int, n_branches: int = 2):
     """Random branch state plus dichotomic observables meeting every condition.
 
     Branch bases are Gaussian packets centered on distinct lattice cells (20
     sigma apart), observables take values +/-1 constant on each cell, and the
     branch weights stay away from degeneracy.  Returns (state, (A, B, C, D)).
-    Each cell's packet is discretized once per grid and process and shared.
+    Each cell's packet is discretized once per process and shared.
     """
     if not 2 <= n_branches <= 3:
         raise InvalidParameter("audited configurations use 2 or 3 branches")
-    cell_states, cell_index = _cell_layout(grid or _DEFAULT_GRID)
+    cell_states, cell_index = _cell_layout()
     rng = np.random.Generator(np.random.PCG64(seed))
     cells1 = rng.choice(_CELL_COUNT, size=n_branches, replace=False)
     cells2 = rng.choice(_CELL_COUNT, size=n_branches, replace=False)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from ..constants import K_B, PLANCK_H
-from ..errors import InvalidParameter, NonPositiveInput
+from ..errors import InvalidParameter
 
 CONDENSED = "condensed"
 SEPARATED = "separated"
@@ -33,10 +33,10 @@ class BoseConfig:
 
     def __post_init__(self):
         if not (self.mass > 0 and self.spacing > 0):
-            raise NonPositiveInput("mass and spacing must be positive")
+            raise InvalidParameter("mass and spacing must be positive")
         temps = tuple(float(t) for t in self.temperatures)
         if not all(t > 0 for t in temps):
-            raise NonPositiveInput("temperatures must be positive")
+            raise InvalidParameter("temperatures must be positive")
         object.__setattr__(self, "temperatures", temps)
 
 
@@ -61,7 +61,7 @@ def _in_range(compute, quantity: str) -> float:
 def thermal_de_broglie(mass: float, temperature: float) -> float:
     """lambda = h / sqrt(m k_B T)."""
     if not (mass > 0 and temperature > 0):
-        raise NonPositiveInput("mass and temperature must be positive")
+        raise InvalidParameter("mass and temperature must be positive")
     return _in_range(
         lambda: PLANCK_H / math.sqrt(mass * K_B * temperature),
         f"thermal wavelength at mass {mass!r} kg, T {temperature!r} K",

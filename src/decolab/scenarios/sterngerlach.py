@@ -22,7 +22,7 @@ import numpy as np
 
 from ..collapse import OrderParameterTrace, classicize, order_parameter_trace
 from ..constants import MASS_SILVER, MU_B
-from ..errors import InvalidParameter, NonPositiveInput, TMaxBeforeCritical
+from ..errors import InvalidParameter, TMaxBeforeCritical
 from ..hilbert import OperatorMatrix, StateVector
 from ..supersystem import Branch, CorrelatedState, InteractionHamiltonian, branch_evolve
 from ..wavepacket import GaussianPacket, Grid1D
@@ -48,7 +48,7 @@ class SGConfig:
     def __post_init__(self):
         for name in ("beta_z", "mass", "mu_b", "delta_z", "sigma0", "t_max"):
             if not getattr(self, name) > 0:
-                raise NonPositiveInput(f"{name} must be positive")
+                raise InvalidParameter(f"{name} must be positive")
         # The analytic tau reads delta_z, the trace's critical width is sigma0.
         if self.delta_z != self.sigma0:
             raise InvalidParameter(f"delta_z = {self.delta_z!r} must equal sigma0 = {self.sigma0!r}")
@@ -123,7 +123,7 @@ def sg_run(config: SGConfig, n_trials: int, seed: int) -> SGRunResult:
     in for statistics.  n_trials must be at least 1 either way.
     """
     if n_trials < 1:
-        raise NonPositiveInput(f"n_trials must be at least 1, got {n_trials}")
+        raise InvalidParameter(f"n_trials must be at least 1, got {n_trials}")
     times = np.linspace(0.0, config.t_max, config.n_steps + 1)
     trace = order_parameter_trace(sg_branch_trajectories(config), "position", times)
     psi = StateVector(np.array([config.c_minus, config.c_plus], dtype=complex))

@@ -18,17 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectrum,
-    DimensionMismatch,
-    EmptyInput,
-    IndexOutOfRange,
-    InvalidParameter,
-    NonHermitian,
-    NonlinearPotential,
-    NonPositiveInput,
-    TooManyParticles,
-)
+from .errors import InvalidParameter
 from .hilbert import NORM_TOL, OperatorMatrix, StateVector
 from .wavepacket import (
     GaussianPacket, Grid1D, _angular_wavenumbers, discretize_gaussian, packet_overlap
@@ -49,7 +39,7 @@ def _overlap(a, b) -> complex:
         return a.overlap(b)
     if isinstance(a, GaussianPacket) and isinstance(b, GaussianPacket):
         return packet_overlap(a, b)
-    raise DimensionMismatch(
+    raise InvalidParameter(
         f"cannot overlap factors of types {type(a).__name__} and {type(b).__name__}"
     )
 
@@ -101,10 +91,10 @@ class CorrelatedState:
     def __post_init__(self):
         branches = tuple(self.branches)
         if not branches:
-            raise EmptyInput("correlated state needs at least one branch")
+            raise InvalidParameter("correlated state needs at least one branch")
         n_factors = {len(b.factors) for b in branches}
         if len(n_factors) != 1:
-            raise DimensionMismatch("all branches must carry the same number of factors")
+            raise InvalidParameter("all branches must carry the same number of factors")
         total = sum(abs(b.coefficient) ** 2 for b in branches)
         if not abs(total - 1.0) <= NORM_TOL:
             raise InvalidParameter(f"branch weights sum to {total!r}, expected 1")
@@ -156,20 +146,20 @@ class InteractionHamiltonian:
 
     def __post_init__(self):
         if not (self.h1.hermitian and self.v1.hermitian):
-            raise NonHermitian("H1 and V1 must be Hermitian")
+            raise InvalidParameter("H1 and V1 must be Hermitian")
         if self.h1.dim != self.v1.dim:
-            raise DimensionMismatch("H1 and V1 act on the same factor")
+            raise InvalidParameter("H1 and V1 act on the same factor")
         h1, v1 = self.h1.entries, self.v1.entries
         comm = np.max(np.abs(h1 @ v1 - v1 @ h1))
         bound = COMMUTATOR_TOL * np.max(np.abs(h1)) * np.max(np.abs(v1))
         if not comm <= bound:
             raise InvalidParameter(f"max|[H1, V1]| = {comm:g} exceeds {bound:g}")
         if not self.mass > 0:
-            raise NonPositiveInput("mass must be positive")
+            raise InvalidParameter("mass must be positive")
         eigen = np.linalg.eigvalsh(self.v1.entries)
         scale = max(float(np.max(np.abs(eigen))), 1e-300)
         if eigen.size > 1 and float(np.min(np.diff(eigen))) < DEGENERACY_RTOL * scale:
-            raise DegenerateSpectrum("V1 spectrum is degenerate; branch labels not faithful")
+            raise InvalidParameter("V1 spectrum is degenerate; branch labels not faithful")
 
 
 def von_neumann_couple(object_state: StateVector, pointer_index: int, pointer_dim: int) -> CorrelatedState:
@@ -181,9 +171,9 @@ def von_neumann_couple(object_state: StateVector, pointer_index: int, pointer_di
     pointer_dim >= dim(object_state).
     """
     if not 0 <= pointer_index < pointer_dim:
-        raise IndexOutOfRange(f"pointer index {pointer_index} outside 0..{pointer_dim - 1}")
+        raise InvalidParameter(f"pointer index {pointer_index} outside 0..{pointer_dim - 1}")
     if pointer_dim < object_state.dim:
-        raise DimensionMismatch("pointer dimension must cover the object dimension")
+        raise InvalidParameter("pointer dimension must cover the object dimension")
     branches = []
     for n, c in enumerate(object_state.amplitudes):
         if c == 0:
@@ -217,16 +207,16 @@ def branch_evolve(
     t is a time or an array of times; for an array the packet's moments are
     arrays over it.  The effective force is f = -v_eigenvalue * V2'(x); V2
     must be affine over the region the packet sweeps up to each sample time
-    (checked, NonlinearPotential otherwise), so the force is constant and the
+    (checked, InvalidParameter otherwise), so the force is constant and the
     Ehrenfest trajectory is exact.  A force, position or V2 value beyond the
-    double range raises InvalidParameter; a NaN V2 is not affine.
+    double range raises InvalidParameter too; a NaN V2 is not affine.
     """
     # Overflow is reported as such below, not as a NumPy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         value0, slope = _affine_slope(ham.v2, initial.x0, initial.sigma_x)
         force = -float(v_eigenvalue) * slope
         if math.isnan(force):
-            raise NonlinearPotential("V2 is not a number at the packet centre")
+            raise InvalidParameter("V2 is not a number at the packet centre")
         if math.isinf(force):
             raise InvalidParameter(f"effective force {force!r} overflows a double")
         moved = initial.evolved(t, force=force, spreading=spreading)
@@ -249,7 +239,7 @@ def branch_evolve(
     if np.isinf(peak).any():
         raise InvalidParameter("V2 overflows a double over the packet support")
     if not np.all(misfit <= tolerance):
-        raise NonlinearPotential("V2 is not affine over the packet support")
+        raise InvalidParameter("V2 is not affine over the packet support")
     return moved
 
 
@@ -262,9 +252,9 @@ def symmetrize_bose(states: Sequence[StateVector]) -> CorrelatedState:
     """
     n = len(states)
     if n == 0:
-        raise EmptyInput("need at least one particle state")
+        raise InvalidParameter("need at least one particle state")
     if n > MAX_BOSE_PARTICLES:
-        raise TooManyParticles(f"{n} particles would need {math.factorial(n)} branches")
+        raise InvalidParameter(f"{n} particles would need {math.factorial(n)} branches")
     for i in range(n):
         for j in range(i + 1, n):
             if not abs(states[i].overlap(states[j])) < NORM_TOL:
@@ -283,7 +273,7 @@ def to_product_vector(state: CorrelatedState) -> np.ndarray:
     for branch in state.branches:
         product = branch.product()
         if product is None:
-            raise DimensionMismatch("branch factors must all be StateVectors")
+            raise InvalidParameter("branch factors must all be StateVectors")
         term = branch.coefficient * product.amplitudes
         total = term if total is None else total + term
     return total
@@ -309,7 +299,7 @@ def _assemble(
     rows = np.zeros((state.branches[0].sub1.dim, grid.n_points), dtype=complex)
     for branch in state.branches:
         if not isinstance(branch.sub2, GaussianPacket):
-            raise DimensionMismatch("residual needs GaussianPacket pointer branches")
+            raise InvalidParameter("residual needs GaussianPacket pointer branches")
         v_n = float(
             np.vdot(branch.sub1.amplitudes, ham.v1.apply(branch.sub1.amplitudes)).real
         )

@@ -24,14 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constants import HBAR
-from .errors import (
-    DerivativeUndefined,
-    DimensionMismatch,
-    InvalidParameter,
-    NonHermitian,
-    NonPositiveInput,
-    PacketOutsideGrid,
-)
+from .errors import InvalidParameter
 from .hilbert import (
     OperatorMatrix, StateVector, deviation_from_moments, expectation_and_deviation, make_state
 )
@@ -84,9 +77,9 @@ class GaussianPacket:
 
     def __post_init__(self):
         if not np.all(self.sigma_x > 0):
-            raise NonPositiveInput("sigma_x must be positive")
+            raise InvalidParameter("sigma_x must be positive")
         if not self.mass > 0:
-            raise NonPositiveInput("mass must be positive")
+            raise InvalidParameter("mass must be positive")
 
     @property
     def sigma_p(self) -> float:
@@ -177,14 +170,14 @@ def packet_overlap(a: GaussianPacket, b: GaussianPacket) -> complex:
 def discretize_gaussian(grid: Grid1D, packet: GaussianPacket) -> StateVector:
     """Sample a Gaussian packet on the grid as a unit-norm StateVector.
 
-    Raises PacketOutsideGrid unless x0 +/- 6 sigma lies inside the grid, and
-    InvalidParameter unless the grid resolves the packet: sigma_x >= dx, and
+    Raises InvalidParameter unless x0 +/- 6 sigma lies inside the grid and
+    the grid resolves the packet: sigma_x >= dx, and
     |p0| + 6 sigma_p within the Nyquist momentum pi hbar / dx, above which
     the momentum aliases.
     """
     lo, hi = packet.x0 - SUPPORT_SIGMAS * packet.sigma_x, packet.x0 + SUPPORT_SIGMAS * packet.sigma_x
     if lo < grid.x_min or hi > grid.x_max:
-        raise PacketOutsideGrid(
+        raise InvalidParameter(
             f"support [{lo:g}, {hi:g}] leaves grid [{grid.x_min:g}, {grid.x_max:g}]"
         )
     if not packet.sigma_x >= grid.dx:
@@ -214,13 +207,13 @@ def _angular_wavenumbers(grid: Grid1D) -> np.ndarray:
 def momentum_mean_and_dev(grid: Grid1D, psi: StateVector) -> tuple[float, float]:
     """<p> and dp computed spectrally without forming the dense matrix."""
     if psi.dim != grid.n_points:
-        raise DimensionMismatch("state does not live on this grid")
+        raise InvalidParameter("state does not live on this grid")
     c_k = np.fft.fft(psi.amplitudes) / np.sqrt(grid.n_points)
     weights = np.abs(c_k) ** 2
     p = HBAR * _angular_wavenumbers(grid)
     mean = float(np.sum(p * weights))
     second = float(np.sum(p * p * weights))
-    return mean, float(np.sqrt(max(second - mean * mean, 0.0)))
+    return mean, deviation_from_moments(mean, second)
 
 
 def check_a1(psi: StateVector, op: OperatorMatrix, ratio_threshold: float = A1_RATIO) -> PacketReport:
@@ -232,7 +225,7 @@ def check_a1(psi: StateVector, op: OperatorMatrix, ratio_threshold: float = A1_R
     if not ratio_threshold > 1.0:
         raise InvalidParameter("ratio_threshold must exceed 1")
     if not op.hermitian:
-        raise NonHermitian("condition A1 needs a Hermitian observable")
+        raise InvalidParameter("condition A1 needs a Hermitian observable")
     mean, dev = expectation_and_deviation(op, psi)
     ratio = float("inf") if dev == 0.0 else abs(mean) / dev
     return PacketReport(
@@ -289,18 +282,18 @@ def interference_report(table: np.ndarray, second: np.ndarray) -> InterferenceRe
 def check_a2(states: Sequence[StateVector], op: OperatorMatrix) -> InterferenceReport:
     """Pairwise weak-interference check for a family of states (see interference_report)."""
     if not op.hermitian:
-        raise NonHermitian("condition A2 needs a Hermitian observable")
+        raise InvalidParameter("condition A2 needs a Hermitian observable")
     if len(states) == 0:
-        raise DimensionMismatch("need at least one state")
+        raise InvalidParameter("need at least one state")
     if any(s.dim != op.dim for s in states):
-        raise DimensionMismatch(f"every state must have the operator's dim {op.dim}")
+        raise InvalidParameter(f"every state must have the operator's dim {op.dim}")
     return interference_report(*element_table(states, op))
 
 
 def _fd_second_derivative(f: Callable[[float], float], x: float, scale: float) -> float:
     h = 1e-4 * max(abs(x), scale)
     if h == 0.0:
-        raise DerivativeUndefined("no length scale to difference over")
+        raise InvalidParameter("no length scale to difference over")
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
 
 
@@ -333,9 +326,9 @@ def wavepacket_criterion(
             curvature = _fd_second_derivative(a_of_x, x_mean, np.sqrt(x_var) + grid.dx)
         a_at_mean = float(a_of_x(x_mean))
     except (ArithmeticError, TypeError) as exc:
-        raise DerivativeUndefined(str(exc)) from exc
+        raise InvalidParameter(str(exc)) from exc
     if not (np.isfinite(curvature) and np.isfinite(a_at_mean)):
-        raise DerivativeUndefined(f"observable not twice differentiable at {x_mean:g}")
+        raise InvalidParameter(f"observable not twice differentiable at {x_mean:g}")
     residual = a_mean - a_at_mean - 0.5 * curvature * x_var
     dx_spread = float(np.sqrt(x_var))
     if curvature == 0.0:
@@ -344,10 +337,9 @@ def wavepacket_criterion(
         bound = float(np.sqrt(abs(a_mean - a_at_mean) / (0.5 * abs(curvature))))
     ratio = float("inf") if dx_spread == 0.0 else bound / dx_spread
     a_sq_mean = float(np.sum(a_values * a_values * weights))
-    deviation = float(np.sqrt(max(a_sq_mean - a_mean * a_mean, 0.0)))
     return PacketReport(
         mean=a_mean,
-        deviation=deviation,
+        deviation=deviation_from_moments(a_mean, a_sq_mean),
         ratio=ratio,
         passes_a1=bool(bound >= TAYLOR_FACTOR * dx_spread),
         taylor_residual=residual,
@@ -369,7 +361,7 @@ def superposition_packet_test(
     spread and fails.  A single packet trivially passes both.
     """
     if len(packets) == 0 or len(packets) != len(coeffs):
-        raise DimensionMismatch("need one coefficient per packet")
+        raise InvalidParameter("need one coefficient per packet")
     states = [discretize_gaussian(grid, p) for p in packets]
     offset = 1.2 * ratio_threshold * max(p.sigma_x for p in packets) - min(
         p.x0 for p in packets
@@ -387,7 +379,7 @@ def superposition_packet_test(
 def grid_state_columns(grid: Grid1D, psi: StateVector) -> tuple[np.ndarray, ...]:
     """CSV columns x, re psi, im psi, |psi|^2 in wavefunction normalization."""
     if psi.dim != grid.n_points:
-        raise DimensionMismatch("state does not live on this grid")
+        raise InvalidParameter("state does not live on this grid")
     value = psi.amplitudes * (1.0 / np.sqrt(grid.dx))
     # float_power is libm pow, as Python's float ** 2 is; NumPy's ** 2 squares
     # instead and moves a last digit of a few cells from 4096 points up.

@@ -25,7 +25,7 @@ from decolab.collapse import (
     split_seed,
     trace_table,
 )
-from decolab.errors import DimensionMismatch, EmptyTimes
+from decolab.errors import InvalidParameter
 from decolab.hilbert import make_state
 from decolab.wavepacket import GaussianPacket
 
@@ -191,7 +191,7 @@ def test_trace_momentum_observable():
 
 def test_trace_input_validation():
     branches = linear_branches(1.0, 1e-9)
-    with pytest.raises(EmptyTimes):
+    with pytest.raises(InvalidParameter, match="at least one sample time"):
         order_parameter_trace(branches, "position", [])
     with pytest.raises(ValueError):
         order_parameter_trace(branches, "position", [0.0, 2.0, 1.0])
@@ -275,7 +275,7 @@ def test_classicize_single_branch_certain():
 
 def test_classicize_rejects_mismatched_trace():
     psi = make_state([math.sqrt(0.5), math.sqrt(0.5)])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidParameter, match="different branch family"):
         classicize(synthetic_trace(0.5, n_branches=3), 1.0, psi, 100, seed=1)
 
 

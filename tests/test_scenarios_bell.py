@@ -15,7 +15,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from decolab.collapse import split_seed
-from decolab.errors import ConditionViolated, DimensionMismatch
+from decolab.errors import InvalidParameter
 from decolab.hilbert import (
     OperatorMatrix,
     StateVector,
@@ -119,7 +119,7 @@ def test_singlet_correlator_is_minus_cosine(theta_a, theta_b):
 
 
 def test_singlet_enforce_approx_rejects_soft_means():
-    with pytest.raises(ConditionViolated):
+    with pytest.raises(InvalidParameter, match="branch mean magnitude .* is below 1"):
         bell_evaluate(singlet_state(), chsh_optimal_observables(), enforce_approx=True)
 
 
@@ -304,7 +304,7 @@ def test_observable_dimension_is_checked_before_any_product():
     for position in range(4):
         mixed = tuple(small if i == position else op for i, op in enumerate(obs))
         for enforce_approx in (True, False):
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(InvalidParameter, match="observables must act on the factors"):
                 bell_evaluate(state, mixed, enforce_approx=enforce_approx)
 
 

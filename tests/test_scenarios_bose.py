@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from decolab.constants import K_B, MASS_RB87, PLANCK_H
-from decolab.errors import InvalidParameter, NonPositiveInput
+from decolab.constants import MASS_RB87
+from decolab.errors import InvalidParameter
 from decolab.scenarios.bose import (
     CONDENSED,
     SEPARATED,
@@ -46,13 +46,13 @@ def test_wavelength_strictly_decreasing_over_six_decades():
 
 
 def test_wavelength_rejects_nonpositive_inputs():
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(InvalidParameter, match="mass and temperature must be positive"):
         thermal_de_broglie(MASS_RB87, 0.0)
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(InvalidParameter, match="mass and temperature must be positive"):
         thermal_de_broglie(-1e-25, 1e-6)
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(InvalidParameter, match="mass and temperature must be positive"):
         thermal_de_broglie(MASS_RB87, math.nan)
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(InvalidParameter, match="mass and temperature must be positive"):
         thermal_de_broglie(math.nan, 1e-6)
 
 
@@ -131,13 +131,17 @@ def test_phase_agrees_with_wavelength_comparison(log_t, log_d):
 
 
 def test_config_validation():
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(InvalidParameter, match="mass and spacing must be positive"):
         BoseConfig(mass=MASS_RB87, spacing=0.0, temperatures=(1e-6,))
-    with pytest.raises(NonPositiveInput):
+    with pytest.raises(InvalidParameter, match="temperatures must be positive"):
         BoseConfig(mass=MASS_RB87, spacing=1e-7, temperatures=(1e-6, -1e-6))
-    for bad in ({"mass": math.nan}, {"spacing": math.nan}, {"temperatures": (1e-6, math.nan)}):
+    for bad, cause in (
+        ({"mass": math.nan}, "mass and spacing"),
+        ({"spacing": math.nan}, "mass and spacing"),
+        ({"temperatures": (1e-6, math.nan)}, "temperatures"),
+    ):
         fields = {"mass": MASS_RB87, "spacing": 1e-7, "temperatures": (1e-6,), **bad}
-        with pytest.raises(NonPositiveInput):
+        with pytest.raises(InvalidParameter, match=f"{cause} must be positive"):
             BoseConfig(**fields)
 
 

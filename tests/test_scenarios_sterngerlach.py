@@ -8,12 +8,11 @@ the analytic frozen-width floor sqrt(3)/2 * hbar^2/(4 m sigma^2).
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from decolab.constants import HBAR, MU_B
+from decolab.constants import HBAR
 from decolab.errors import InvalidParameter, TMaxBeforeCritical
 from decolab.scenarios.sterngerlach import (
     BRANCH_LABELS,
