@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from decolab.cli import SCHEMAS, RunConfig, ScenarioResult, emit, main, parse_config, run
 from decolab.constants import HBAR
-from decolab.errors import ConfigError
+from decolab.errors import ConfigError, TMaxBeforeCritical
 
 
 def do_run(tmp_path, argv, name="out"):
@@ -222,6 +223,8 @@ def test_classicize_equal_amplitudes_at_extreme_scales(tmp_path, capsys, scale):
 
 # Output bytes pinned by SHA-256, so a storage or evaluation-order change in the
 # operators cannot move a single digit of what these scenarios write.
+# The one pinned run whose readout time precedes the critical time; it warns.
+PRE_TAU_ARGV = ["sterngerlach", "--t-max", "5e-8", "--n-steps", "100", "--seed", "3"]
 PINNED_OUTPUTS = [
     (
         ["bell", "--mode", "audited", "--n-configs", "4", "--n-branches", "2", "--seed", "11"],
@@ -253,7 +256,7 @@ PINNED_OUTPUTS = [
         },
     ),
     (
-        ["sterngerlach", "--t-max", "5e-8", "--n-steps", "100", "--seed", "3"],
+        PRE_TAU_ARGV,
         {
             "summary.json": "c9a23252114e9cff4b18ed8f30a7d7941a11517aaa950cddc25a9f9800297fcc",
             "sterngerlach_order_parameter.csv": "6d5a7355d4126300b3f0a14d279948407d77617ac1629890ef89c96ed993e28a",
@@ -284,6 +287,16 @@ PINNED_OUTPUTS = [
             "bose_classification.csv": "54578c15efd028d70d33f6d134d1e41d181a85eae265f8cfa42904ca06e51868",
         },
     ),
+    (
+        # A JSONL file many write slices long, with trial numbers past 10^4.
+        ["classicize", "--amplitudes", "0.9,0.5j,0.4,0.3,0.2", "--n-trials", "20000",
+         "--seed", "7"],
+        {
+            "summary.json": "aadbac6f9c29435d4aad94b2da6c6debc805a5e6b05a37468a2f11fca7e947ba",
+            "classicize_histogram.csv": "6b69963cf51ba15e95d45a5ee27b0b8664dc80759bccefcd9864465b65cc7c46",
+            "classicize_outcomes.jsonl": "a5780e08a8afa10811c85945f01309c61091b56664015d525cd3333d912ef124",
+        },
+    ),
 ]
 
 
@@ -292,11 +305,13 @@ PINNED_OUTPUTS = [
     PINNED_OUTPUTS,
     ids=[
         "bell-2", "bell-3", "wavepacket", "sg-collapse", "sg-pre-tau", "classicize",
-        "wavepacket-4096", "bose",
+        "wavepacket-4096", "bose", "classicize-20000",
     ],
 )
 def test_output_bytes_pinned(tmp_path, argv, digests):
-    out, _ = do_run(tmp_path, argv)
+    pre_tau = argv == PRE_TAU_ARGV
+    with pytest.warns(TMaxBeforeCritical) if pre_tau else contextlib.nullcontext():
+        out, _ = do_run(tmp_path, argv)
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
     assert written == digests
 

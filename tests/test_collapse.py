@@ -343,3 +343,20 @@ EDGE_WEIGHTS = [
 def test_outcomes_jsonl_matches_record_at_a_time_reference(weights, n_trials, key):
     indices = np.random.default_rng(key).integers(0, len(weights), size=n_trials)
     assert outcomes_to_jsonl(indices, weights) == _reference_jsonl(indices, weights)
+
+
+# Every trial count where the number of decimal digits in the last trial
+# number changes, on both sides, up past the property's 3000-trial ceiling.
+@pytest.mark.parametrize("n_branches", [1, 3, 8])
+@pytest.mark.parametrize(
+    "n_trials",
+    [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001, 20000, 100001],
+)
+def test_outcomes_jsonl_matches_reference_at_digit_boundaries(n_trials, n_branches):
+    weights = EDGE_WEIGHTS[1 : 1 + n_branches]
+    indices = np.random.default_rng(n_trials).integers(0, n_branches, size=n_trials)
+    blob = outcomes_to_jsonl(indices, weights)
+    # Line lists, so a failure names the first differing record instead of
+    # diffing two multi-megabyte strings.
+    want = _reference_jsonl(indices, weights)
+    assert blob.splitlines(keepends=True) == want.splitlines(keepends=True)
