@@ -29,6 +29,9 @@ from .wavepacket import GaussianPacket
 # excluded from the spread maximum.
 PHASE_WEIGHT_FLOOR = 1e-12
 
+# A JSONL record's last trial digit and close, indexed by that digit.
+_ENDS = [f"{digit}}}\n" for digit in range(10)]
+
 # 64-bit golden-ratio increment; decorrelates the seeds split_seed derives.
 SEED_GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -191,8 +194,10 @@ def outcomes_to_jsonl(indices: np.ndarray, weights: Sequence[float]) -> str:
     Keys are sorted for reproducible bytes.  Only the trial number varies
     between records of one branch, so each branch's record prefix is built
     once; "trial" sorts last, so prefix + number + "}" is the sorted dump.
-    The records come from one "%s%d}\\n" format pass over the flat tuple of
-    (prefix, trial) pairs of the whole run.
+    Trial r is written as its tens, str(r // 10) ("" below 10), then its last
+    digit and the record's close from _ENDS, so only ceil(n / 10) integers are
+    converted to text.  The run is one join of (prefix, tens, end) triples;
+    the prefixes come from one NumPy gather over the drawn branch indices.
     """
     prefixes = []
     for index, weight in enumerate(weights):
@@ -201,7 +206,10 @@ def outcomes_to_jsonl(indices: np.ndarray, weights: Sequence[float]) -> str:
         record = {"branch_index": index, "posterior": posterior, "prior": float(weight)}
         prefixes.append(json.dumps(record, sort_keys=True)[:-1] + ', "trial": ')
     n = len(indices)
-    cells = [None] * (2 * n)
-    cells[0::2] = map(prefixes.__getitem__, indices.tolist())
-    cells[1::2] = range(n)
-    return ("%s%d}\n" * n) % tuple(cells)
+    tens = ["", *map(str, range(1, -(-n // 10)))]
+    cells = [None] * (3 * n)
+    cells[0::3] = np.array(prefixes, dtype=object)[indices].tolist()
+    for digit in range(10):
+        cells[1 + 3 * digit :: 30] = tens[: len(range(digit, n, 10))]
+    cells[2::3] = (_ENDS * len(tens))[:n]
+    return "".join(cells)
