@@ -221,10 +221,11 @@ def test_classicize_equal_amplitudes_at_extreme_scales(tmp_path, capsys, scale):
     assert weights == pytest.approx([0.5, 0.5], rel=1e-15, abs=0.0)
 
 
-# Output bytes pinned by SHA-256, so a storage or evaluation-order change in the
-# operators cannot move a single digit of what these scenarios write.
 # The one pinned run whose readout time precedes the critical time; it warns.
 PRE_TAU_ARGV = ["sterngerlach", "--t-max", "5e-8", "--n-steps", "100", "--seed", "3"]
+
+# Output bytes pinned by SHA-256, so a storage or evaluation-order change in the
+# operators cannot move a single digit of what these scenarios write.
 PINNED_OUTPUTS = [
     (
         ["bell", "--mode", "audited", "--n-configs", "4", "--n-branches", "2", "--seed", "11"],

@@ -314,6 +314,13 @@ def _reference_jsonl(indices, weights):
     return "".join(f"{prefixes[b]}{i}}}\n" for i, b in enumerate(indices.tolist()))
 
 
+def assert_same_records(blob, want):
+    """Byte equality, compared as line lists: a failure names the first
+    differing record at once, where a diff of two long strings takes minutes
+    (and is redone at every hypothesis shrink step)."""
+    assert blob.splitlines(keepends=True) == want.splitlines(keepends=True)
+
+
 # Edge weights: both ends, the smallest and largest subnormals, the smallest
 # normal, and values whose shortest repr needs all 17 significant digits.
 EDGE_WEIGHTS = [
@@ -342,7 +349,7 @@ EDGE_WEIGHTS = [
 )
 def test_outcomes_jsonl_matches_record_at_a_time_reference(weights, n_trials, key):
     indices = np.random.default_rng(key).integers(0, len(weights), size=n_trials)
-    assert outcomes_to_jsonl(indices, weights) == _reference_jsonl(indices, weights)
+    assert_same_records(outcomes_to_jsonl(indices, weights), _reference_jsonl(indices, weights))
 
 
 # Every trial count where the number of decimal digits in the last trial
@@ -355,8 +362,4 @@ def test_outcomes_jsonl_matches_record_at_a_time_reference(weights, n_trials, ke
 def test_outcomes_jsonl_matches_reference_at_digit_boundaries(n_trials, n_branches):
     weights = EDGE_WEIGHTS[1 : 1 + n_branches]
     indices = np.random.default_rng(n_trials).integers(0, n_branches, size=n_trials)
-    blob = outcomes_to_jsonl(indices, weights)
-    # Line lists, so a failure names the first differing record instead of
-    # diffing two multi-megabyte strings.
-    want = _reference_jsonl(indices, weights)
-    assert blob.splitlines(keepends=True) == want.splitlines(keepends=True)
+    assert_same_records(outcomes_to_jsonl(indices, weights), _reference_jsonl(indices, weights))
