@@ -13,6 +13,13 @@ and written into the template as literal text.
 
 Exit codes: 0 success, 1 scenario error (out of memory included), 2
 configuration error.
+
+A process loads only the modules of the scenario it runs.  Every scenario
+loads decolab.{cli,collapse,constants,errors,hilbert}, and classicize needs
+nothing more; wavepacket-check adds decolab.wavepacket; sterngerlach, bell
+and bose import their module from decolab.scenarios, whose package re-exports
+load all three scenario modules plus decolab.supersystem and
+decolab.wavepacket.
 """
 
 from __future__ import annotations
@@ -40,25 +47,6 @@ from .collapse import (
 from .constants import CONSTANTS_VERSION, MASS_RB87, MASS_SILVER, MU_B, PAPER_ROUND
 from .errors import ConfigError, DecolabError, InvalidParameter
 from .hilbert import make_state
-from .scenarios import (
-    BoseConfig,
-    SGConfig,
-    audited_configuration,
-    bell_evaluate,
-    bose_critical_temperature,
-    chsh_optimal_observables,
-    sg_run,
-    singlet_state,
-)
-from .wavepacket import (
-    GaussianPacket,
-    Grid1D,
-    check_a1,
-    discretize_gaussian,
-    grid_state_columns,
-    momentum_mean_and_dev,
-    position_operator,
-)
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "DECOLAB_SEED"
@@ -250,10 +238,14 @@ def parse_config(argv: list[str], file: str | Path | None = None) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Scenario dispatch.
+# Scenario dispatch.  Every runner but _run_classicize imports its scenario's
+# names in its body: a fresh interpreter compiles and executes each module it
+# imports, so a process should pay only for the scenario it runs.
 
 
 def _run_sterngerlach(config: RunConfig) -> ScenarioResult:
+    from .scenarios.sterngerlach import SGConfig, sg_run
+
     p = dict(config.params)
     if config.paper_constants:
         # Round literature values unless explicitly overridden.
@@ -291,6 +283,10 @@ def _run_sterngerlach(config: RunConfig) -> ScenarioResult:
 
 
 def _run_bell(config: RunConfig) -> ScenarioResult:
+    from .scenarios.bell import (
+        audited_configuration, bell_evaluate, chsh_optimal_observables, singlet_state
+    )
+
     mode = config.params["mode"]
     sign = config.params["sign"]
     if mode == "singlet":
@@ -327,6 +323,8 @@ def _run_bell(config: RunConfig) -> ScenarioResult:
 
 
 def _run_bose(config: RunConfig) -> ScenarioResult:
+    from .scenarios.bose import BoseConfig, bose_critical_temperature
+
     bose = BoseConfig(
         mass=config.params["mass"],
         spacing=config.params["spacing"],
@@ -371,6 +369,11 @@ def _run_classicize(config: RunConfig) -> ScenarioResult:
 
 
 def _run_wavepacket_check(config: RunConfig) -> ScenarioResult:
+    from .wavepacket import (
+        GaussianPacket, Grid1D, check_a1, discretize_gaussian, grid_state_columns,
+        momentum_mean_and_dev, position_operator,
+    )
+
     p = config.params
     grid = Grid1D(p["grid-min"], p["grid-max"], p["grid-points"])
     packet = GaussianPacket(p["x0"], p["p0"], p["sigma"], p["mass"])

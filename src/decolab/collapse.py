@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .errors import InvalidParameter
 from .hilbert import StateVector
-from .wavepacket import GaussianPacket
+
+if TYPE_CHECKING:  # annotations only: sampling and JSONL never load wavepacket
+    from .wavepacket import GaussianPacket
 
 # Branches lighter than this weight carry no observable phase and are
 # excluded from the spread maximum.
@@ -74,6 +76,15 @@ class OrderParameterTrace:
     n_branches: int
 
 
+def pair_margins(means: np.ndarray, devs: np.ndarray, i, j) -> tuple[np.ndarray, np.ndarray]:
+    """Gap |m_i - m_j| and critical value (d_i + d_j) / 2 of pairs (i, j); A2 wants gap >= critical.
+
+    i and j index the first axis of means and devs, so a trailing time axis
+    carries through; np.s_[:, None] against np.s_[None, :] gives every pair.
+    """
+    return np.abs(means[i] - means[j]), 0.5 * (devs[i] + devs[j])
+
+
 def _moments(packet: GaussianPacket, observable: str) -> tuple[float, float]:
     if observable == "position":
         return packet.x0, packet.sigma_x
@@ -122,8 +133,7 @@ def order_parameter_trace(
     critical = np.zeros((len(pairs), t.size))
     tau_nm = []
     for k, (i, j) in enumerate(pairs):
-        gap[k] = np.abs(means[i] - means[j])
-        critical[k] = 0.5 * (devs[i] + devs[j])
+        gap[k], critical[k] = pair_margins(means, devs, i, j)
         tau_nm.append(_first_crossing(t, gap[k] - critical[k]))
     tau = None if any(v is None for v in tau_nm) else max(tau_nm)
     return OrderParameterTrace(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..constants import MASS_SILVER, MU_B
 from ..errors import InvalidParameter, TMaxBeforeCritical
 from ..hilbert import OperatorMatrix, StateVector
 from ..supersystem import Branch, CorrelatedState, InteractionHamiltonian, branch_evolve
-from ..wavepacket import GaussianPacket, Grid1D
+from ..wavepacket import GaussianPacket
 
 BRANCH_LABELS = ("minus", "plus")
 
@@ -41,7 +41,6 @@ class SGConfig:
     c_minus: complex = 1.0 / math.sqrt(2.0)
     c_plus: complex = 1.0 / math.sqrt(2.0)
     sigma0: float = 1.0e-9  # m, packet width (frozen, no dissipation)
-    grid: Grid1D = field(default_factory=lambda: Grid1D(-1.6e-8, 1.6e-8, 1024))
     t_max: float = 3.0e-7  # s
     n_steps: int = 1000
 
@@ -54,7 +53,17 @@ class SGConfig:
             raise InvalidParameter(f"delta_z = {self.delta_z!r} must equal sigma0 = {self.sigma0!r}")
         if self.n_steps < 2:
             raise InvalidParameter("n_steps must be at least 2")
-        total = abs(self.c_minus) ** 2 + abs(self.c_plus) ** 2
+        # sg_critical_time divides by this force; a subnormal product is 0.
+        if not self.mu_b * self.beta_z > 0:
+            raise InvalidParameter(
+                f"mu_b * beta_z underflows to 0 at mu_b = {self.mu_b!r}, beta_z = {self.beta_z!r}"
+            )
+        try:
+            total = abs(self.c_minus) ** 2 + abs(self.c_plus) ** 2
+        except OverflowError as exc:
+            raise InvalidParameter(
+                f"|c_-|^2 + |c_+|^2 overflows at c_- = {self.c_minus!r}, c_+ = {self.c_plus!r}"
+            ) from exc
         if not abs(total - 1.0) <= 1e-10:
             raise InvalidParameter(f"|c_-|^2 + |c_+|^2 = {total!r}, expected 1")
 

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .collapse import pair_margins
 from .constants import HBAR
 from .errors import InvalidParameter
 from .hilbert import (
@@ -257,8 +258,7 @@ def interference_report(table: np.ndarray, second: np.ndarray) -> InterferenceRe
     n = table.shape[0]
     means = table.diagonal().real.copy()
     devs = np.array([deviation_from_moments(means[i], second[i]) for i in range(n)])
-    gap = np.abs(means[:, None] - means[None, :])
-    threshold = 0.5 * (devs[:, None] + devs[None, :])
+    gap, threshold = pair_margins(means, devs, np.s_[:, None], np.s_[None, :])
     offdiag = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):

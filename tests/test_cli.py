@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -15,6 +19,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import decolab
 from decolab.cli import SCHEMAS, RunConfig, ScenarioResult, emit, main, parse_config, run
 from decolab.constants import HBAR
 from decolab.errors import ConfigError, TMaxBeforeCritical
@@ -508,6 +513,10 @@ def test_main_fewer_than_one_trial_exit_one(tmp_path, capsys, scenario, n_trials
         # the envelope's 4 sigma^2 underflows to 0
         ["wavepacket-check", "--sigma", "1e-300"],
         ["bell", "--mode", "no-such-mode"],
+        # |c|^2 overflows before the normalization check
+        ["sterngerlach", "--c-minus=1e200", "--c-plus=1e200"],
+        # mu_b * beta_z underflows to 0, the force tau_c divides by
+        ["sterngerlach", "--beta-z=1e-316"],
     ],
     ids=[
         "sg-beta-z", "sg-mass", "sg-n-steps", "sg-c-minus", "sg-pre-tau-n-trials",
@@ -520,6 +529,7 @@ def test_main_fewer_than_one_trial_exit_one(tmp_path, capsys, scenario, n_trials
         "sg-delta-z-mismatch", "sg-sigma0-mismatch",
         "wp-under-resolved", "wp-aliased-momentum", "wp-sigma-underflow",
         "bell-mode",
+        "sg-amplitude-overflow", "sg-force-underflow",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -539,13 +549,72 @@ def test_main_out_of_memory_exit_one(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. GiB for an array")
 
-    monkeypatch.setattr("decolab.cli.sg_run", refuse)
+    monkeypatch.setattr("decolab.scenarios.sterngerlach.sg_run", refuse)
     out = tmp_path / "oom"
     assert main(["sterngerlach", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate")
     assert "Traceback" not in err
     assert not (out / "summary.json").exists()
+
+
+# Magnitudes drawn log-uniformly from the subnormal range to near the largest
+# double, with either sign, or zero; counts stay small so that runs are fast.
+SIGNED_MAGNITUDES = st.one_of(
+    st.just(0.0),
+    st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+        st.sampled_from([1.0, -1.0]), st.floats(1.0, 9.99), st.integers(-320, 307),
+    ),
+)
+FUZZ_INTS = {
+    "n-steps": (-2, 40), "n-trials": (-2, 50), "sign": (-2, 2), "n-configs": (-1, 3),
+    "n-branches": (0, 4), "grid-points": (0, 300),
+}
+
+
+def _flag_text(key: str, tag: str):
+    if tag == "int":
+        return st.integers(*FUZZ_INTS[key]).map(str)
+    if tag == "str":
+        return st.sampled_from(["singlet", "audited", "other"])
+    one = SIGNED_MAGNITUDES
+    if tag.startswith("complex"):
+        one = st.builds(complex, SIGNED_MAGNITUDES, SIGNED_MAGNITUDES)
+    if tag in ("float", "complex"):
+        return one.map(repr)
+    return st.lists(one.map(repr), min_size=1, max_size=4).map(",".join)
+
+
+@st.composite
+def schema_argvs(draw):
+    scenario = draw(st.sampled_from(sorted(SCHEMAS)))
+    schema = SCHEMAS[scenario]
+    keys = draw(st.lists(st.sampled_from(sorted(schema)), unique=True))
+    return [scenario] + [f"--{key}={draw(_flag_text(key, schema[key][0]))}" for key in keys]
+
+
+def _reject_constant(name):
+    raise AssertionError(f"summary.json holds {name}")
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(argv=schema_argvs())
+def test_any_schema_argv_exits_cleanly(argv):
+    # exit 0 with a finite summary, or one error: line and no traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", TMaxBeforeCritical)
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv + ["--out", tmp, "--formats", "json"])
+        assert code in (0, 1, 2)
+        if code:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+        else:
+            json.loads((Path(tmp) / "summary.json").read_text(), parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("k", [-25, -10, 0, 10, 25])
@@ -561,3 +630,32 @@ def test_wavepacket_check_verdict_is_scale_free(k):
     assert math.isclose(summary["ratio"], 50.0, rel_tol=6e-13)
     assert math.isclose(summary["uncertainty_product"] / (0.5 * HBAR), 1.0, rel_tol=6e-13)
     assert summary["passes_a1"] is True  # as at k = 0
+
+
+# -------------------------------------------------------------- cold start
+
+# Parses, runs and emits one scenario in a fresh interpreter, then prints the
+# decolab modules it loaded.
+COLD_START = """\
+import sys
+from decolab import cli
+config = cli.parse_config(sys.argv[1:])
+cli.emit(cli.run(config), config)
+print(" ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "decolab")))
+"""
+BASE_MODULES = {"decolab", "decolab.cli", "decolab.collapse", "decolab.constants", "decolab.errors", "decolab.hilbert"}
+
+
+@pytest.mark.parametrize(
+    "scenario, extra",
+    [("classicize", set()), ("wavepacket-check", {"decolab.wavepacket"})],
+    ids=["classicize", "wavepacket-check"],
+)
+def test_cold_start_loads_only_the_scenario_modules(tmp_path, scenario, extra):
+    env = dict(os.environ, PYTHONPATH=str(Path(decolab.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, scenario, "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    # so neither loads decolab.supersystem or decolab.scenarios
+    assert set(done.stdout.split()) == BASE_MODULES | extra

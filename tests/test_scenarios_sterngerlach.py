@@ -25,9 +25,11 @@ from decolab.scenarios.sterngerlach import (
 )
 from decolab.supersystem import branch_evolve, schrodinger_residual
 from decolab.collapse import order_parameter_trace
-from decolab.wavepacket import GaussianPacket
+from decolab.wavepacket import GaussianPacket, Grid1D
 
 PAPER = dict(mass=1e-25, mu_b=1e-23)
+# +-16 sigma0 at 32 points per sigma0: holds both default branches past 2 tau_c.
+RESIDUAL_GRID = Grid1D(-1.6e-8, 1.6e-8, 1024)
 TAU_TOL = 1e-12
 CLOSED_FORM_TOL = 1e-12
 RESIDUAL_FLOOR_RTOL = 2e-3
@@ -223,7 +225,7 @@ def test_residual_pinned_to_frozen_width_floor():
     state = sg_correlated_state(cfg)
     tau = sg_critical_time(cfg)
     floor = math.sqrt(0.75) * HBAR**2 / (4.0 * cfg.mass * cfg.sigma0**2)
-    early = schrodinger_residual(ham, state, 0.1 * tau, cfg.grid)
+    early = schrodinger_residual(ham, state, 0.1 * tau, RESIDUAL_GRID)
     assert math.isclose(early, floor, rel_tol=RESIDUAL_FLOOR_RTOL)
 
 
@@ -235,10 +237,10 @@ def test_residual_relative_form_decreases_toward_effective_solution():
     ham = sg_hamiltonian(cfg)
     state = sg_correlated_state(cfg)
     tau = sg_critical_time(cfg)
-    early_abs = schrodinger_residual(ham, state, 0.1 * tau, cfg.grid)
-    late_abs = schrodinger_residual(ham, state, 2.0 * tau, cfg.grid)
+    early_abs = schrodinger_residual(ham, state, 0.1 * tau, RESIDUAL_GRID)
+    late_abs = schrodinger_residual(ham, state, 2.0 * tau, RESIDUAL_GRID)
     assert late_abs > early_abs  # documented frozen-width behavior
-    early_rel = schrodinger_residual(ham, state, 0.1 * tau, cfg.grid, relative=True)
-    late_rel = schrodinger_residual(ham, state, 2.0 * tau, cfg.grid, relative=True)
+    early_rel = schrodinger_residual(ham, state, 0.1 * tau, RESIDUAL_GRID, relative=True)
+    late_rel = schrodinger_residual(ham, state, 2.0 * tau, RESIDUAL_GRID, relative=True)
     assert late_rel < early_rel
     assert late_rel < 1.0
