@@ -53,7 +53,7 @@ class SGConfig:
             raise InvalidParameter(f"delta_z = {self.delta_z!r} must equal sigma0 = {self.sigma0!r}")
         if self.n_steps < 2:
             raise InvalidParameter("n_steps must be at least 2")
-        # sg_critical_time divides by this force; a subnormal product is 0.
+        # sg_critical_time divides by this force, which can underflow to 0.
         if not self.mu_b * self.beta_z > 0:
             raise InvalidParameter(
                 f"mu_b * beta_z underflows to 0 at mu_b = {self.mu_b!r}, beta_z = {self.beta_z!r}"
