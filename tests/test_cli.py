@@ -85,12 +85,45 @@ def test_seed_is_exact_above_two_to_the_53(monkeypatch, text, expected):
     assert parse_config(["classicize"]).seed == expected
 
 
+# Each key every scenario accepts: its value from the file, then with a flag
+# on top, and its default with neither (the seed's DECOLAB_SEED source is
+# test_seed_precedence_env_lowest).
+@pytest.mark.parametrize(
+    "field, line, from_file, flag, from_flag, default",
+    [
+        ("seed", "seed = 55", 55, ["--seed", "11"], 11, 42),
+        ("output_dir", "out = file-dir", Path("file-dir"), ["--out", "flag-dir"], Path("flag-dir"), Path("runs")),
+        ("formats", "formats = csv", {"csv"}, ["--formats", "json"], {"json"}, {"json", "csv"}),
+        ("paper_constants", "paper_constants = yes", True, ["--paper-constants"], True, False),
+        ("paper_constants", "paper-constants = no", False, ["--paper-constants"], True, False),
+        # an empty --out or --formats, in a flag or a file, counts as not given
+        ("output_dir", "out =", Path("runs"), ["--out="], Path("runs"), Path("runs")),
+        ("output_dir", "out = file-dir", Path("file-dir"), ["--out="], Path("file-dir"), Path("runs")),
+        ("formats", "formats =", {"json", "csv"}, ["--formats="], {"json", "csv"}, {"json", "csv"}),
+    ],
+    ids=["seed", "out", "formats", "paper-yes", "paper-no", "out-empty", "out-empty-flag", "formats-empty"],
+)
+def test_common_keys_flag_beats_file_beats_default(
+    tmp_path, monkeypatch, field, line, from_file, flag, from_flag, default
+):
+    monkeypatch.delenv("DECOLAB_SEED", raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert getattr(parse_config(["bose"]), field) == default
+    assert getattr(parse_config(["bose", "--config", str(cfg)]), field) == from_file
+    assert getattr(parse_config(["bose", "--config", str(cfg), *flag]), field) == from_flag
+
+
 def test_unknown_file_key_rejected(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("beta_q = 1e3\n")
     with pytest.raises(ConfigError, match="unknown configuration key") as err:
         parse_config(["sterngerlach", "--config", str(cfg)])
     assert "beta-q" in str(err.value)
+    # of two unknown keys, the first in file order is named
+    cfg.write_text("sigma0 = 1e-9\nbeta_q = 1e3\nalpha_q = 1\n")
+    with pytest.raises(ConfigError, match=r"^unknown configuration key \(key: beta-q\)$"):
+        parse_config(["sterngerlach", "--config", str(cfg)])
 
 
 def test_type_mismatches_rejected(tmp_path):
@@ -442,11 +475,13 @@ NON_FINITE_ARGVS = [
     if tag in ("float", "complex", "floats", "complexes")
     for value in ("nan", "inf", "-inf")
 ]
-# Integer flags, the seed, overflowing literals and one bad element of a list.
+# Integer flags, the seed (an empty one too), overflowing literals and one bad
+# element of a list.
 NON_FINITE_ARGVS += [
     ["classicize", "--n-trials", "inf"],
     ["classicize", "--seed", "inf"],
     ["classicize", "--seed=-inf"],
+    ["classicize", "--seed="],
     ["classicize", "--amplitudes", "1,infj"],
     ["sterngerlach", "--beta-z", "1e400"],
     ["sterngerlach", "--c-minus", "nan+0j"],
