@@ -5,8 +5,11 @@ Sweeps t across the critical window of the Stern-Gerlach run and prints the
 absolute residual |H Psi - i hbar dPsi/dt| / |Psi| (J) next to the relative
 one (defect over |H Psi|).  The absolute defect sits at the zero-point
 kinetic floor hbar^2 sqrt(3)/2 / (4 m sigma^2) and grows with the branch
-momentum; the relative defect falls monotonically, which is the sense in
-which the correlated state approaches an effective solution.
+momentum.  With the frozen width, the relative defect falls only from
+0.9999993 at 0.05 tau_c to 0.998 at 3 tau_c: the ansatz's i hbar dPsi/dt
+matches almost none of H Psi, chiefly because the ansatz carries no
+dynamical phase.  So it is no evidence that the correlated state approaches
+an effective solution (ROADMAP.md, item 10).
 
 The grid is sized from the sweep: it spans twice the reach of either
 branch's 6-sigma support at the last sample time, so --spreading (where the

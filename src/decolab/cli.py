@@ -1,15 +1,18 @@
 """Command-line harness: `decoherence-lab <scenario> [--key value]...`.
 
-Scenarios: sterngerlach, bell, bose, classicize, wavepacket-check.  Values
-resolve flags > config file > defaults (the seed falls back to the
-DECOLAB_SEED environment variable before its built-in 42).  Config files are
-flat `key = value` lines with '#' comments, keyed like the flags (underscores
-are accepted and treated as hyphens).  Every run writes summary.json (stable
-key order, no timestamps, no NaN or infinity, byte-reproducible under a fixed
-seed) plus one <scenario>_<trace>.csv per trace when csv output is selected.
-A trace is a header plus one array per column, printed through one row
-template per file; a column whose cells are all byte-equal is formatted once
-and written into the template as literal text.
+Scenarios: sterngerlach, bell, bose, classicize, wavepacket-check.  Every
+value, the seed, --out, --formats and --paper-constants included, resolves
+one way: flag > config file > default, where an empty --out or --formats
+counts as not given.  DECOLAB_SEED, when set, is the seed's default (else
+42), and --paper-constants makes the round PAPER_ROUND values sterngerlach's
+default mass and mu-b.  Config files are flat `key = value` lines with '#'
+comments, keyed like the flags (underscores are accepted and treated as
+hyphens).  Every run writes summary.json (stable key order, no timestamps,
+no NaN or infinity, byte-reproducible under a fixed seed) plus one
+<scenario>_<trace>.csv per trace when csv output is selected.  A trace is a
+header plus one array per column, printed through one row template per file;
+a column whose cells are all byte-equal is formatted once and written into
+the template as literal text.
 
 Exit codes: 0 success, 1 scenario error (out of memory included), 2
 configuration error.
@@ -30,7 +33,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from pathlib import Path
 
@@ -55,7 +58,15 @@ JSONL_SLICE = 1 << 16
 # printf code of a CSV cell by its column's dtype kind; anything else is %s.
 CELL_CODES = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
 
-# Per-scenario parameter schemas: key -> (type tag, default).
+# Keys every scenario accepts after its own.  In this order they fill the
+# RunConfig fields that follow params.
+RUN_KEYS: dict[str, tuple[str, object]] = {
+    "seed": ("int", DEFAULT_SEED),
+    "out": ("path", "runs"),
+    "formats": ("formats", "json,csv"),
+    "paper-constants": ("bool", False),
+}
+# Each scenario's key table, its own keys then RUN_KEYS: key -> (tag, default).
 SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
     "sterngerlach": {
         "beta-z": ("float", 1.0e3),
@@ -95,9 +106,7 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "grid-points": ("int", 2048),
     },
 }
-
-# Keys every scenario accepts (in files as well as flags).
-COMMON_KEYS = ("seed", "out", "formats", "paper-constants")
+SCHEMAS = {scenario: {**keys, **RUN_KEYS} for scenario, keys in SCHEMAS.items()}
 
 
 @dataclass(frozen=True)
@@ -119,47 +128,62 @@ class ScenarioResult:
     jsonl: dict = field(default_factory=dict)  # name -> text blob
 
 
-def _finite(value):
+def _number(tag: str, text: str):
+    """A finite float, or a finite complex for the complex tags."""
+    value = float(text) if tag.startswith("float") else complex(text.replace(" ", ""))
     if not cmath.isfinite(value):
         raise ValueError("nan and inf are not accepted")
     return value
 
 
 def _convert(key: str, tag: str, raw):
+    """A key's value from its raw text; None for an empty --out or --formats."""
     if not isinstance(raw, str):
         return raw
+    if not raw and tag in ("path", "formats"):
+        return None  # counts as not given, so the next source decides
     text = raw.strip()
     try:
-        if tag == "float":
-            return _finite(float(text))
+        if tag in ("float", "complex"):
+            return _number(tag, text)
         if tag == "int":
             # exact for integers of any size; forms like 1e3 go through float
             value = int(text) if text.lstrip("+-").isdigit() else float(text)
             if value != int(value):
                 raise ValueError
             return int(value)
-        if tag == "complex":
-            return _finite(complex(text.replace(" ", "")))
-        if tag == "floats":
+        if tag in ("floats", "complexes"):
             parts = [p for p in text.split(",") if p.strip()]
-            return tuple(_finite(float(p)) for p in parts)
-        if tag == "complexes":
-            parts = [p for p in text.split(",") if p.strip()]
-            return tuple(_finite(complex(p.replace(" ", ""))) for p in parts)
+            if not parts:
+                raise ConfigError(key, "missing required configuration key")
+            return tuple(_number(tag, p) for p in parts)
         if tag == "bool":
             if text.lower() in ("true", "1", "yes"):
                 return True
             if text.lower() in ("false", "0", "no"):
                 return False
             raise ValueError
+        if tag == "path":
+            return Path(raw)
+        if tag == "formats":
+            formats = frozenset(p.strip() for p in text.split(",") if p.strip())
+            if not formats <= {"json", "csv"}:
+                raise ConfigError(key, f"expected subset of json,csv, got {raw!r}")
+            return formats
         return text
     except (ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ConfigError(key, f"expected {tag}, got {raw!r}") from exc
 
 
 def _read_config_file(path: Path) -> dict[str, str]:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(str(path), f"cannot read config file: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(path), f"config file is not UTF-8 at byte {exc.start}") from exc
     values: dict[str, str] = {}
-    for line_number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_number, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -179,62 +203,36 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="scenario", required=True)
     for scenario, schema in SCHEMAS.items():
         p = sub.add_parser(scenario)
-        for key in schema:
-            p.add_argument(f"--{key}", dest=key, default=None)
-        p.add_argument("--seed", default=None)
-        p.add_argument("--config", default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--formats", default=None)
-        p.add_argument("--paper-constants", dest="paper-constants", action="store_true", default=False)
+        for key, (tag, _) in schema.items():
+            action = "store_true" if tag == "bool" else "store"
+            p.add_argument(f"--{key}", dest=key, action=action, default=None)
+            if key == "seed":  # the usage line has always listed --config here
+                p.add_argument("--config", default=None)
     return parser
 
 
-def parse_config(argv: list[str], file: str | Path | None = None) -> RunConfig:
-    """Resolve a RunConfig from argv, an optional config file, and defaults."""
-    namespace = vars(_build_parser().parse_args(argv))
-    scenario = namespace.pop("scenario")
+def parse_config(argv: list[str]) -> RunConfig:
+    """Resolve a RunConfig in the one order the module docstring gives."""
+    flags = vars(_build_parser().parse_args(argv))
+    scenario, config_path = flags.pop("scenario"), flags.pop("config")
     schema = SCHEMAS[scenario]
-    config_path = namespace.pop("config", None) or (str(file) if file is not None else None)
-    file_values: dict[str, str] = {}
-    if config_path is not None:
-        file_values = _read_config_file(Path(config_path))
-        for key in file_values:
-            if key not in schema and key not in COMMON_KEYS:
-                raise ConfigError(key, "unknown configuration key")
+    file_values = _read_config_file(Path(config_path)) if config_path else {}
+    for key in file_values:
+        if key not in schema:
+            raise ConfigError(key, "unknown configuration key")
+    defaults = {key: default for key, (_, default) in schema.items()}
+    defaults["seed"] = os.environ.get(SEED_ENV_VAR, defaults["seed"])
 
-    def resolve(key: str, tag: str, default):
-        if namespace.get(key) is not None:
-            return _convert(key, tag, namespace[key])
-        if key in file_values:
-            return _convert(key, tag, file_values[key])
-        return default
+    def resolve(key: str):
+        for raw in (flags[key], file_values.get(key), defaults[key]):
+            value = _convert(key, schema[key][0], raw)
+            if value is not None:
+                return value
 
-    params = {key: resolve(key, tag, default) for key, (tag, default) in schema.items()}
-    for key, value in params.items():
-        if isinstance(value, tuple) and not value:
-            raise ConfigError(key, "missing required configuration key")
-    seed = namespace.get("seed")
-    if seed is None:
-        seed = file_values.get("seed")
-    if seed is None:
-        seed = os.environ.get(SEED_ENV_VAR)
-    seed = DEFAULT_SEED if seed is None else _convert("seed", "int", seed)
-    out = namespace.get("out") or file_values.get("out") or "runs"
-    formats_raw = namespace.get("formats") or file_values.get("formats") or "json,csv"
-    formats = frozenset(p.strip() for p in formats_raw.split(",") if p.strip())
-    if not formats <= {"json", "csv"}:
-        raise ConfigError("formats", f"expected subset of json,csv, got {formats_raw!r}")
-    paper = bool(namespace.get("paper-constants")) or bool(
-        _convert("paper-constants", "bool", file_values.get("paper-constants", "false"))
-    )
-    return RunConfig(
-        scenario=scenario,
-        params=params,
-        seed=int(seed),
-        output_dir=Path(out),
-        formats=formats,
-        paper_constants=paper,
-    )
+    if resolve("paper-constants") and scenario == "sterngerlach":
+        defaults.update(PAPER_ROUND)
+    params = {key: resolve(key) for key in schema}
+    return RunConfig(scenario, params, *(params.pop(key) for key in RUN_KEYS))
 
 
 # ---------------------------------------------------------------------------
@@ -246,24 +244,8 @@ def parse_config(argv: list[str], file: str | Path | None = None) -> RunConfig:
 def _run_sterngerlach(config: RunConfig) -> ScenarioResult:
     from .scenarios.sterngerlach import SGConfig, sg_run
 
-    p = dict(config.params)
-    if config.paper_constants:
-        # Round literature values unless explicitly overridden.
-        if p["mass"] == MASS_SILVER:
-            p["mass"] = PAPER_ROUND["mass"]
-        if p["mu-b"] == MU_B:
-            p["mu-b"] = PAPER_ROUND["mu_b"]
-    sg = SGConfig(
-        beta_z=p["beta-z"],
-        mass=p["mass"],
-        mu_b=p["mu-b"],
-        delta_z=p["delta-z"],
-        c_minus=p["c-minus"],
-        c_plus=p["c-plus"],
-        sigma0=p["sigma0"],
-        t_max=p["t-max"],
-        n_steps=p["n-steps"],
-    )
+    p = config.params
+    sg = SGConfig(**{f.name: p[f.name.replace("_", "-")] for f in fields(SGConfig)})
     result = sg_run(sg, n_trials=p["n-trials"], seed=config.seed)
     summary = {
         "tau_c_analytic": result.tau_c_analytic,
@@ -405,18 +387,11 @@ _RUNNERS = {
 }
 
 
-def _jsonable_params(params: dict) -> dict:
-    out = {}
-    for key, value in params.items():
-        if isinstance(value, complex):
-            out[key] = [value.real, value.imag]
-        elif isinstance(value, tuple):
-            out[key] = [
-                [v.real, v.imag] if isinstance(v, complex) else v for v in value
-            ]
-        else:
-            out[key] = value
-    return out
+def _complex_pair(value) -> list:
+    """json.dumps' default: a complex as [re, im]; nothing else is JSON."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def run(config: RunConfig) -> ScenarioResult:
@@ -428,7 +403,7 @@ def run(config: RunConfig) -> ScenarioResult:
         "scenario": config.scenario,
         "seed": config.seed,
         "paper_constants": config.paper_constants,
-        "params": _jsonable_params(config.params),
+        "params": config.params,
         "formats": sorted(config.formats),
     }
     return result
@@ -442,7 +417,7 @@ def emit(result: ScenarioResult, config: RunConfig) -> list[Path]:
         "provenance": result.provenance,
     }
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=_complex_pair)
     except ValueError as exc:  # NaN and Infinity are not JSON
         raise InvalidParameter(f"summary holds a non-finite value: {exc}") from exc
     out_dir = config.output_dir

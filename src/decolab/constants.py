@@ -17,9 +17,10 @@ PLANCK_H = 6.62607015e-34  # J s
 K_B = 1.380649e-23  # J/K
 MU_B = 9.2740100783e-24  # J/T
 
-# Round values used in back-of-the-envelope estimates.
+# Round values used in back-of-the-envelope estimates, keyed like the
+# sterngerlach CLI keys whose defaults --paper-constants replaces.
 PAPER_ROUND = {
-    "mu_b": 1.0e-23,  # J/T
+    "mu-b": 1.0e-23,  # J/T
     "mass": 1.0e-25,  # kg (generic heavy-atom scale)
 }
 

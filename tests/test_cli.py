@@ -182,6 +182,23 @@ def test_sterngerlach_emits_order_parameter_csv(tmp_path):
     assert math.isclose(summary["summary"]["tau_c_analytic"], 1e-7, rel_tol=1e-12)
 
 
+PAPER_ARGV = ["sterngerlach", "--paper-constants", "--n-trials", "50", "--n-steps", "200"]
+
+
+def test_paper_constants_yield_to_an_explicit_value(tmp_path):
+    _, summary = do_run(tmp_path, PAPER_ARGV + ["--mass", "1.79e-25"])
+    assert summary["summary"]["constants"]["mass"] == 1.79e-25
+    assert summary["summary"]["constants"]["mu_b"] == 1e-23
+    # only sterngerlach has paper values
+    assert parse_config(["bose", "--paper-constants"]).params["mass"] == 1.443e-25
+
+
+def test_paper_constants_provenance_echoes_the_values_used(tmp_path):
+    _, summary = do_run(tmp_path, PAPER_ARGV)
+    constants, params = summary["summary"]["constants"], summary["provenance"]["params"]
+    assert (params["mass"], params["mu-b"]) == (constants["mass"], constants["mu_b"]) == (1e-25, 1e-23)
+
+
 def test_csv_cells_round_trip_doubles(tmp_path):
     out, summary = do_run(tmp_path, ["bose", "--temps", "1e-7,1e-6"])
     lines = (out / "bose_classification.csv").read_text().splitlines()
@@ -449,6 +466,22 @@ def test_main_usage_error_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+def test_main_unreadable_config_exit_two(tmp_path, capsys, kind):
+    cfg = tmp_path / "run.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not-utf-8":
+        cfg.write_bytes(b"seed = 1\n\xff = 2\n")
+    out = tmp_path / "out"
+    assert main(["bose", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert err.endswith(f"(key: {cfg})\n")
+    assert not out.exists()
+
+
 def test_main_argparse_unknown_flag_exit_two(capsys):
     assert main(["bose", "--no-such-flag", "1"]) == 2
     capsys.readouterr()
@@ -608,7 +641,24 @@ FUZZ_INTS = {
 }
 
 
+# Seeds: integers past 2^64 either way, exponent forms (some overflow or are
+# not whole) and garbage.
+SEED_TEXTS = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.builds("{}e{}".format, st.integers(-20, 20), st.integers(-3, 400)),
+    st.text(max_size=6),
+)
+# Lists of formats, empty, bad or repeated ones included.
+FORMATS_TEXTS = st.lists(st.sampled_from(["json", "csv", "yaml", " ", ""]), max_size=3).map(",".join)
+# No file of this name exists in the repository.
+MISSING_CONFIG = Path(__file__).with_name("missing.cfg")
+
+
 def _flag_text(key: str, tag: str):
+    if key == "seed":
+        return SEED_TEXTS
+    if tag == "formats":
+        return FORMATS_TEXTS
     if tag == "int":
         return st.integers(*FUZZ_INTS[key]).map(str)
     if tag == "str":
@@ -625,8 +675,15 @@ def _flag_text(key: str, tag: str):
 def schema_argvs(draw):
     scenario = draw(st.sampled_from(sorted(SCHEMAS)))
     schema = SCHEMAS[scenario]
-    keys = draw(st.lists(st.sampled_from(sorted(schema)), unique=True))
-    return [scenario] + [f"--{key}={draw(_flag_text(key, schema[key][0]))}" for key in keys]
+    # every key but --out, which the test sets
+    keys = draw(st.lists(st.sampled_from(sorted(set(schema) - {"out"})), unique=True))
+    argv = [scenario]
+    for key in keys:
+        tag = schema[key][0]
+        argv.append(f"--{key}" if tag == "bool" else f"--{key}={draw(_flag_text(key, tag))}")
+    if draw(st.booleans()):
+        argv.append(f"--config={MISSING_CONFIG}")
+    return argv
 
 
 def _reject_constant(name):
@@ -643,7 +700,8 @@ def test_any_schema_argv_exits_cleanly(argv):
             warnings.simplefilter("error", RuntimeWarning)
             warnings.simplefilter("ignore", TMaxBeforeCritical)
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = main(argv + ["--out", tmp, "--formats", "json"])
+                # a drawn --formats overrides json
+                code = main([argv[0], "--out", tmp, "--formats", "json", *argv[1:]])
         assert code in (0, 1, 2)
         if code:
             assert err.getvalue().startswith("error: ")
