@@ -113,10 +113,10 @@ SCHEMAS = {scenario: {**keys, **RUN_KEYS} for scenario, keys in SCHEMAS.items()}
 class RunConfig:
     scenario: str
     params: dict
-    seed: int = DEFAULT_SEED
-    output_dir: Path = Path("runs")
-    formats: frozenset = frozenset({"json", "csv"})
-    paper_constants: bool = False
+    seed: int
+    output_dir: Path
+    formats: frozenset
+    paper_constants: bool
 
 
 @dataclass

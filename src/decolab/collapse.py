@@ -133,7 +133,13 @@ def order_parameter_trace(
     critical = np.zeros((len(pairs), t.size))
     tau_nm = []
     for k, (i, j) in enumerate(pairs):
-        gap[k], critical[k] = pair_margins(means, devs, i, j)
+        # A margin beyond the double range is reported below, not as a NumPy warning.
+        with np.errstate(over="ignore"):
+            gap[k], critical[k] = pair_margins(means, devs, i, j)
+        if not np.isfinite(gap[k]).all():
+            raise InvalidParameter("order-parameter gap overflows a double")
+        if not np.isfinite(critical[k]).all():
+            raise InvalidParameter("order-parameter critical value overflows a double")
         tau_nm.append(_first_crossing(t, gap[k] - critical[k]))
     tau = None if any(v is None for v in tau_nm) else max(tau_nm)
     return OrderParameterTrace(

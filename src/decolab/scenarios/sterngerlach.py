@@ -76,15 +76,14 @@ def sg_critical_time(config: SGConfig) -> float:
 def sg_hamiltonian(config: SGConfig) -> InteractionHamiltonian:
     """Gradient coupling V1 (x) V2 with V1 = diag(+mu_B, -mu_B), V2 = beta_z z.
 
-    Branch order is (minus, plus); with V2' = beta_z the effective forces are
-    f_pm = -v_pm beta_z = -/+ ... = +/- mu_B beta_z as required.  The spin
-    factor carries no free Hamiltonian here (uniform-field phases drop out of
-    every gap and weight).
+    Branch order is (minus, plus); V2 has gradient beta_z, so the effective
+    forces f = -v beta_z are exactly +mu_B beta_z on the minus branch and
+    -mu_B beta_z on the plus branch.  The spin factor carries no free
+    Hamiltonian here (uniform-field phases drop out of every gap and weight).
     """
     h1 = OperatorMatrix(np.zeros((2, 2)), hermitian=True)
     v1 = OperatorMatrix(np.diag([config.mu_b, -config.mu_b]).astype(complex), hermitian=True)
-    beta = config.beta_z
-    return InteractionHamiltonian(h1=h1, v1=v1, v2=lambda x: beta * np.asarray(x, dtype=float), mass=config.mass)
+    return InteractionHamiltonian(h1=h1, v1=v1, gradient=config.beta_z, mass=config.mass)
 
 
 def sg_correlated_state(config: SGConfig) -> CorrelatedState:

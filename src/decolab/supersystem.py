@@ -2,11 +2,11 @@
 
 A measurement-type interaction entangles an object with a pointer so the
 joint state takes the branch form sum_n c_n |psi_n> (x) |u_n(t)>, each
-pointer branch riding its own effective potential v_n V2(x).  For an
-at-most-linear V2 every branch stays Gaussian and its moments follow the
-classical trajectory under the constant force f = -v_n V2'(x); that closed
-form is what order-parameter traces are built from.  Bosonic product states
-can be symmetrized into the same branch bookkeeping.
+pointer branch riding its own effective potential v_n V2(x).  V2 is linear,
+V2(x) = gradient * x, so every branch stays Gaussian and its moments follow
+the classical trajectory under the constant force f = -v_n gradient; that
+closed form is what order-parameter traces are built from.  Bosonic product
+states can be symmetrized into the same branch bookkeeping.
 """
 
 from __future__ import annotations
@@ -134,14 +134,15 @@ class InteractionHamiltonian:
 
     H1 and V1 must commute (within COMMUTATOR_TOL relative to max|H1| max|V1|)
     so V1 eigenvalues label stationary branches, and the V1 spectrum must be
-    non-degenerate so the labels are faithful.  V2 is a real function of the
-    pointer coordinate; H2 is the kinetic term p^2 / 2 mass on whatever grid
-    the state is evaluated on.
+    non-degenerate so the labels are faithful.  V2(x) = gradient * x on the
+    pointer coordinate, affine by construction, so branch dynamics need no
+    check of it.  H2 is the kinetic term p^2 / 2 mass on whatever grid the
+    state is evaluated on.
     """
 
     h1: OperatorMatrix
     v1: OperatorMatrix
-    v2: Callable[[np.ndarray], np.ndarray]
+    gradient: float
     mass: float
 
     def __post_init__(self):
@@ -188,13 +189,6 @@ def von_neumann_couple(object_state: StateVector, pointer_index: int, pointer_di
     return CorrelatedState(tuple(branches))
 
 
-def _affine_slope(v2: Callable, x0: float, scale: float) -> tuple[float, float]:
-    h = max(scale, 1e-12)
-    lo, hi = float(v2(np.array([x0 - h]))[0]), float(v2(np.array([x0 + h]))[0])
-    mid = float(v2(np.array([x0]))[0])
-    return mid, (hi - lo) / (2.0 * h)
-
-
 def branch_evolve(
     ham: InteractionHamiltonian,
     v_eigenvalue: float,
@@ -205,41 +199,18 @@ def branch_evolve(
     """Closed-form branch packet at time t under the effective potential v V2.
 
     t is a time or an array of times; for an array the packet's moments are
-    arrays over it.  The effective force is f = -v_eigenvalue * V2'(x); V2
-    must be affine over the region the packet sweeps up to each sample time
-    (checked, InvalidParameter otherwise), so the force is constant and the
-    Ehrenfest trajectory is exact.  A force, position or V2 value beyond the
-    double range raises InvalidParameter too; a NaN V2 is not affine.
+    arrays over it.  V2 = gradient * x, so the force f = -v_eigenvalue *
+    gradient is constant and the Ehrenfest trajectory is exact.  A force or
+    position beyond the double range raises InvalidParameter.
     """
+    force = -float(v_eigenvalue) * float(ham.gradient)
+    if math.isinf(force):
+        raise InvalidParameter(f"effective force {force!r} overflows a double")
     # Overflow is reported as such below, not as a NumPy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        value0, slope = _affine_slope(ham.v2, initial.x0, initial.sigma_x)
-        force = -float(v_eigenvalue) * slope
-        if math.isnan(force):
-            raise InvalidParameter("V2 is not a number at the packet centre")
-        if math.isinf(force):
-            raise InvalidParameter(f"effective force {force!r} overflows a double")
         moved = initial.evolved(t, force=force, spreading=spreading)
-        if not np.isfinite(moved.x0).all():
-            raise InvalidParameter("evolved packet position overflows a double")
-        # Verify affinity over everything the packet sweeps, with 6 sigma
-        # margin: one window per sample time, each probed at the 9 points of
-        # np.linspace(lo, hi, 9).  Going one point index at a time over all
-        # windows never holds a (n_times, 9) array.
-        lo = np.atleast_1d(np.minimum(initial.x0, moved.x0) - 6.0 * moved.sigma_x)
-        hi = np.atleast_1d(np.maximum(initial.x0, moved.x0) + 6.0 * moved.sigma_x)
-        step = (hi - lo) / 8
-        peak = misfit = 0.0
-        for k in range(9):
-            xs = hi if k == 8 else k * step + lo
-            values = np.asarray(ham.v2(xs), dtype=float)
-            peak = np.maximum(peak, np.abs(values))
-            misfit = np.maximum(misfit, np.abs(values - (value0 + slope * (xs - initial.x0))))
-        tolerance = 1e-9 * np.maximum(np.maximum(peak, abs(slope) * (hi - lo)), 1e-300)
-    if np.isinf(peak).any():
-        raise InvalidParameter("V2 overflows a double over the packet support")
-    if not np.all(misfit <= tolerance):
-        raise InvalidParameter("V2 is not affine over the packet support")
+    if not np.isfinite(moved.x0).all():
+        raise InvalidParameter("evolved packet position overflows a double")
     return moved
 
 
@@ -314,8 +285,7 @@ def hamiltonian_apply(
 ) -> np.ndarray:
     """H Psi for a joint state laid out as (dim1, n_grid) rows."""
     h_psi = ham.h1.entries @ rows + _kinetic_apply(rows, grid, ham.mass)
-    v2_diag = np.asarray(ham.v2(grid.xs), dtype=float)
-    return h_psi + (ham.v1.entries @ rows) * v2_diag[None, :]
+    return h_psi + (ham.v1.entries @ rows) * (ham.gradient * grid.xs)[None, :]
 
 
 def residual_from_family(

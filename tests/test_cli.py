@@ -307,15 +307,15 @@ PINNED_OUTPUTS = [
         ["sterngerlach", "--c-minus", "0.6", "--c-plus", "0.8j", "--n-steps", "400",
          "--n-trials", "500", "--seed", "3"],
         {
-            "summary.json": "8a80586477d7c2c10df73fe0ac1f37280e1e6268d961a69813fda9f96fb58998",
-            "sterngerlach_order_parameter.csv": "94b46adcd2e72db960cba54534460bd6bec8cbab65cee73cb32fc1993925b3bc",
+            "summary.json": "484b64e2608b701ea7f06e04d87bc39fac621b7ce35a4c3bb3f68187533ce9cf",
+            "sterngerlach_order_parameter.csv": "29627a581a20878f595765e2bb037630c531ed1acac25004a182fc61436b117a",
         },
     ),
     (
         PRE_TAU_ARGV,
         {
             "summary.json": "c9a23252114e9cff4b18ed8f30a7d7941a11517aaa950cddc25a9f9800297fcc",
-            "sterngerlach_order_parameter.csv": "6d5a7355d4126300b3f0a14d279948407d77617ac1629890ef89c96ed993e28a",
+            "sterngerlach_order_parameter.csv": "8b2cd27409655678628d2a97f8e629e13fed444826a66de4d5c2ca868c15d188",
         },
     ),
     (
@@ -420,7 +420,10 @@ def assert_emit_matches_per_cell_formatting(columns):
     lines = [",".join(header)] + [",".join(_format_cell(v) for v in row) for row in rows]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        config = RunConfig(scenario="prop", params={}, output_dir=out, formats=frozenset({"csv"}))
+        config = RunConfig(
+            scenario="prop", params={}, seed=0, output_dir=out, formats=frozenset({"csv"}),
+            paper_constants=False,
+        )
         emit(ScenarioResult("prop", {}, traces={"t": (header, columns)}), config)
         assert (out / "prop_t.csv").read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -566,7 +569,10 @@ def test_main_fewer_than_one_trial_exit_one(tmp_path, capsys, scenario, n_trials
         ["bose", "--mass", "1e-30", "--temps", "1e-300"],
         ["sterngerlach", "--mu-b", "1e300", "--beta-z", "1e300"],
         ["sterngerlach", "--t-max", "1e200"],
-        ["sterngerlach", "--beta-z", "1e300"],
+        # the branch means are finite, their gap is not
+        ["sterngerlach", "--beta-z", "40", "--t-max", "3.4e152", "--n-steps", "4"],
+        # the widths are finite, the critical half-sum is not
+        ["sterngerlach", "--sigma0", "1.5e308", "--delta-z", "1.5e308"],
         # sigma = dx / 100, unresolved: sampled, it is an eigenstate with an
         # infinite A1 ratio
         ["wavepacket-check", "--grid-min=-1e-6", "--grid-max=1e-6", "--grid-points", "2001",
@@ -592,7 +598,7 @@ def test_main_fewer_than_one_trial_exit_one(tmp_path, capsys, scenario, n_trials
         "bell-sign", "bell-n-branches", "bell-n-configs-negative", "bell-n-configs-zero",
         "sg-t-max-subnormal",
         "bose-spacing-overflow", "bose-mass-t-c-overflow", "bose-wavelength-overflow",
-        "sg-force-overflow", "sg-position-overflow", "sg-potential-overflow",
+        "sg-force-overflow", "sg-position-overflow", "sg-gap-overflow", "sg-critical-overflow",
         "wp-infinite-ratio",
         "sg-delta-z-mismatch", "sg-sigma0-mismatch",
         "wp-under-resolved", "wp-aliased-momentum", "wp-sigma-underflow",
@@ -609,6 +615,18 @@ def test_main_invalid_parameter_exit_one(tmp_path, capsys, argv):
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not (out / "summary.json").exists()
+
+
+def test_huge_gradient_runs_to_a_finite_summary(tmp_path, capsys):
+    # mu_B beta_z and the branch positions stay finite at beta_z = 1e300
+    out = tmp_path / "huge"
+    assert main(["sterngerlach", "--beta-z", "1e300", "--formats", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = (out / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=_reject_constant)["summary"]
+    assert summary["collapsed"] is True
+    step = 3.0e-7 / 1000  # default t_max / n_steps
+    assert abs(summary["tau_c_numeric"] - summary["tau_c_analytic"]) <= 2 * step
 
 
 def test_main_out_of_memory_exit_one(tmp_path, capsys, monkeypatch):

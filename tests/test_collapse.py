@@ -197,6 +197,13 @@ def test_trace_input_validation():
         order_parameter_trace(branches, "position", [0.0, 2.0, 1.0])
     with pytest.raises(ValueError):
         order_parameter_trace(branches[:1], "position", [0.0, 1.0])
+    # means of -1e308 and +1e308 are finite, their gap is not
+    apart = [lambda t, m=m: GaussianPacket(m * t, 0.0, 1e-9, 1e-25) for m in (-1e308, 1e308)]
+    with pytest.raises(InvalidParameter, match="order-parameter gap overflows a double"):
+        order_parameter_trace(apart, "position", [0.0, 1.0])
+    wide = [lambda t: GaussianPacket(0.0, 0.0, 1.5e308, 1e-25)] * 2
+    with pytest.raises(InvalidParameter, match="order-parameter critical value overflows a double"):
+        order_parameter_trace(wide, "position", [0.0, 1.0])
 
 
 def test_trace_table_single_pair_schema():
