@@ -135,6 +135,39 @@ def test_operator_matrix_flag_guards():
     assert OperatorMatrix(np.zeros((2, 2)), hermitian=True).hermitian
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_real_diagonal_hermitian_flag_needs_finite_entries(bad):
+    entries = np.linspace(-1.0, 1.0, 8)
+    entries[3] = bad
+    # the complex check computes inf - inf on the way to its verdict
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(InvalidParameter, match=r"^hermitian flag set but M != M\^dagger$"):
+            OperatorMatrix(entries, hermitian=True)
+
+
+def test_real_diagonal_hermitian_flag_is_scale_free_and_complex_stays_checked():
+    with pytest.raises(InvalidParameter, match="hermitian flag set"):
+        OperatorMatrix(np.array([1.0, 2.0 + 1e-3j, -1.0]), hermitian=True)
+    rng = np.random.default_rng(23)
+    values = rng.normal(size=64)
+    for scale in (1e300, 1e-300):
+        op = OperatorMatrix(values * scale, hermitian=True)
+        assert op.hermitian and op.entries.dtype == complex
+
+
+def test_real_diagonal_applies_as_its_complex_twin():
+    rng = np.random.default_rng(29)
+    values = rng.choice(np.array([-1.0, 1.0, 3.0]), size=1024) * rng.uniform(0.5, 2.0, size=1024)
+    real = OperatorMatrix(values, hermitian=True)
+    twin = OperatorMatrix(values.astype(complex), hermitian=True)
+    assert real.entries.dtype == twin.entries.dtype == complex
+    assert not real.entries.flags.writeable
+    for _ in range(4):
+        v = random_state(rng, 1024).amplitudes
+        assert np.array_equal(real.apply(v), twin.apply(v))
+        assert real.apply(v).tobytes() == twin.apply(v).tobytes()
+
+
 @seed(16)
 @settings(max_examples=60, deadline=None)
 @given(

@@ -252,7 +252,7 @@ def bell_oracle(state, obs, sign=1, enforce_approx=True):
                     magnitude = abs(_branch_mean(alpha, s))
                     condition_min = min(condition_min, magnitude)
                     if magnitude < 1.0 - CONDITION_TOL:
-                        raise ConditionViolated(f"branch mean magnitude {magnitude:g} is below 1")
+                        raise InvalidParameter(f"branch mean magnitude {magnitude:g} is below 1")
         approx_ok = _audit_oracle(state, obs)
         pair = _diagonal_pair
     else:
@@ -296,6 +296,62 @@ def test_singlet_tables_match_per_element_oracle_bit_for_bit(angles, sign):
         report = bell_evaluate(singlet_state(), obs, sign=sign, enforce_approx=False)
         oracle = bell_oracle(singlet_state(), obs, sign, enforce_approx=False)
         assert repr(report) == repr(oracle)
+
+
+# Hand-built lattice configurations whose audit fails: the default grid's
+# cells (4 um apart, sigma 0.2 um) and observables constant on each cell.
+CELL_GRID = Grid1D(-1.4e-5, 1.4e-5, 1024)
+CELL_INDEX = np.clip(np.rint((CELL_GRID.xs + 1.2e-5) / 4.0e-6).astype(int), 0, 6)
+
+
+def _cell_state(i):
+    return discretize_gaussian(CELL_GRID, GaussianPacket((i - 3) * 4.0e-6, 0.0, 2.0e-7, 1.0e-25))
+
+
+def _cell_observable(values):
+    return OperatorMatrix(np.asarray(values, dtype=float)[CELL_INDEX], hermitian=True)
+
+
+def _failing_audit_cases():
+    rng = np.random.default_rng(41)
+    coeffs = np.sqrt([0.3, 0.7]) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=2))
+    labels = (_cell_state(0), _cell_state(5))
+    dichotomic = tuple(_cell_observable(rng.choice([-1.0, 1.0], size=7)) for _ in range(4))
+    # A2: both second factors sit on one cell, so <s_1|B|s_0> = <B> = +/-1
+    shared = _cell_state(2)
+    same_cell = CorrelatedState(
+        tuple(Branch(complex(c), (label, shared)) for c, label in zip(coeffs, labels))
+    )
+    # A1: one second factor is spread over cells 1 and 4, where B reads 1
+    # and 3: its mean 2 clears the magnitude condition, its spread 1 fails A1
+    spread = make_state(_cell_state(1).amplitudes + _cell_state(4).amplitudes)
+    two_cells = CorrelatedState(
+        (Branch(complex(coeffs[0]), (labels[0], spread)),
+         Branch(complex(coeffs[1]), (labels[1], _cell_state(6))))
+    )
+    same_sign = [1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0]
+    two_level = [1.0, 1.0, -1.0, 1.0, 3.0, 1.0, -1.0]
+    soft = (
+        _cell_observable(same_sign), _cell_observable(two_level),
+        _cell_observable(same_sign), _cell_observable(same_sign),
+    )
+    return {"a2-same-cell": (same_cell, dichotomic), "a1-two-cells": (two_cells, soft)}
+
+
+@pytest.mark.parametrize("case", ["a2-same-cell", "a1-two-cells"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_failing_audit_is_reported(case, sign):
+    state, obs = _failing_audit_cases()[case]
+    report = bell_evaluate(state, obs, sign=sign, enforce_approx=True)
+    assert report.approx_conditions_met is False
+    assert report.condition_min >= 1.0 - CONDITION_TOL
+    assert repr(report) == repr(bell_oracle(state, obs, sign, enforce_approx=True))
+    second = [b.sub2 for b in state.branches]
+    if case == "a1-two-cells":
+        assert not check_a1(second[0], obs[1]).passes_a1
+        assert check_a1(second[0], obs[1]).mean == pytest.approx(2.0, rel=1e-9)
+    else:
+        assert not check_a2(second, obs[1]).passes_off_diagonal[0, 1]
 
 
 def test_observable_dimension_is_checked_before_any_product():
