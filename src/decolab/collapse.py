@@ -79,8 +79,9 @@ class OrderParameterTrace:
 def pair_margins(means: np.ndarray, devs: np.ndarray, i, j) -> tuple[np.ndarray, np.ndarray]:
     """Gap |m_i - m_j| and critical value (d_i + d_j) / 2 of pairs (i, j); A2 wants gap >= critical.
 
-    i and j index the first axis of means and devs, so a trailing time axis
-    carries through; np.s_[:, None] against np.s_[None, :] gives every pair.
+    i and j index means and devs: np.s_[:, None] against np.s_[None, :] pairs
+    the first axis, so a trailing time axis carries through, and
+    np.s_[..., :, None] against np.s_[..., None, :] pairs the last.
     """
     return np.abs(means[i] - means[j]), 0.5 * (devs[i] + devs[j])
 

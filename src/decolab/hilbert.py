@@ -77,7 +77,8 @@ class OperatorMatrix:
     flags are promises checked at construction time: a flag set to True on
     a matrix that fails the corresponding identity is rejected rather than
     silently trusted.  The Hermitian test is relative, max|M - M^dagger| <=
-    ALG_TOL max|M|, so its verdict does not depend on the units of M.
+    ALG_TOL max|M|, so its verdict does not depend on the units of M; real
+    1-d entries (stored complex, like all entries) need only be finite.
     """
 
     entries: np.ndarray
@@ -85,19 +86,23 @@ class OperatorMatrix:
     unitary: bool = False
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        raw = np.asarray(self.entries)
+        m = _frozen(raw)
         diagonal = m.ndim == 1
         if m.size == 0 or not (diagonal or (m.ndim == 2 and m.shape[0] == m.shape[1])):
             raise InvalidParameter(f"operator must be square or diagonal, got shape {m.shape}")
-        adjoint = m.conj() if diagonal else m.conj().T
-        if self.hermitian and not np.max(np.abs(m - adjoint)) <= ALG_TOL * np.max(np.abs(m)):
+        if self.hermitian and not (
+            np.isfinite(raw).all()  # a real diagonal is its own adjoint exactly when finite
+            if diagonal and raw.dtype.kind in "biuf"
+            else np.max(np.abs(m - m.conj().T)) <= ALG_TOL * np.max(np.abs(m))
+        ):
             raise InvalidParameter("hermitian flag set but M != M^dagger")
         if self.unitary:
-            defect = np.abs(m) ** 2 - 1.0 if diagonal else adjoint @ m - np.eye(m.shape[0])
+            defect = np.abs(m) ** 2 - 1.0 if diagonal else m.conj().T @ m - np.eye(m.shape[0])
             drift = np.max(np.abs(defect))
             if not drift < NORM_TOL:
                 raise InvalidParameter(f"unitary flag set but |M^dag M - 1| = {drift:g}")
-        object.__setattr__(self, "entries", _frozen(m))
+        object.__setattr__(self, "entries", m)
 
     @property
     def dim(self) -> int:

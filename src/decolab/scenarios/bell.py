@@ -58,33 +58,33 @@ class BellReport:
     condition_min: float  # smallest branch-mean magnitude seen (audit diagnostics)
 
 
-def _exact_correlator(coeffs: np.ndarray, ex, ey) -> float:
+def _exact_correlator(coeffs: list, ex: list, ey: list) -> float:
     """<X (x) Y> with all branch cross terms, from the two factors' tables."""
     n = len(coeffs)
     total = 0.0 + 0.0j
     for j in range(n):
         for k in range(n):
-            total += np.conj(coeffs[j]) * coeffs[k] * ex[j, k] * ey[j, k]
-    return float(total.real)
+            total += coeffs[j].conjugate() * coeffs[k] * ex[j][k] * ey[j][k]
+    return total.real
 
 
-def _product_correlator(weights: np.ndarray, ex, ey) -> float:
+def _product_correlator(weights: list, ex: list, ey: list) -> float:
     """Cross-term-free correlator sum_n w_n <X>_n <Y>_n, from the tables' diagonals."""
     total = 0.0
     for n, w in enumerate(weights):
-        total += float(w) * float(ex[n, n].real) * float(ey[n, n].real)
+        total += w * ex[n][n].real * ey[n][n].real
     return total
 
 
-def _audit_packet_conditions(tables) -> bool:
+def _audit_packet_conditions(tables: list, seconds: list) -> bool:
     """Sharp-packet (A1) and interference-free (A2) audit over the second basis.
 
-    tables holds one element_table result per observable.  Only A2's
-    off-diagonal inequality is required: dichotomic branches often share a
-    mean, so A2's mean-gap test does not belong to this bound.
+    One interference_report call over one element_table per observable.
+    Only A2's off-diagonal inequality is required: dichotomic branches often
+    share a mean, so A2's mean-gap test does not belong to this bound.
     """
-    reports = (interference_report(table, second) for table, second in tables)
-    return all(np.all(r.passes_a1()) and np.all(r.passes_off_diagonal) for r in reports)
+    report = interference_report(np.array(tables), np.array(seconds))
+    return bool(np.all(report.passes_a1()) and np.all(report.passes_off_diagonal))
 
 
 def bell_evaluate(
@@ -103,24 +103,27 @@ def bell_evaluate(
     which is how the singlet's 2 sqrt 2 violation is exhibited.  chsh_value
     is always the exact |<AB> - <AD> + <CB> + <CD>|.  Every correlator and
     branch mean is read from one table of matrix elements <s_j|X|s_k> per
-    observable and factor.
+    observable and factor, and only the entries that are read are computed.
     """
     if sign not in (1, -1):
         raise InvalidParameter("sign must be +1 or -1")
     factors = ([b.sub1 for b in state.branches], [b.sub2 for b in state.branches])
     if not all(isinstance(s, StateVector) for states in factors for s in states):
         raise InvalidParameter("bell_evaluate needs StateVector branch factors")
-    # observable indices each factor needs: its own pair, or all four for the audit
-    needed = ((0, 1, 2, 3), (0, 1, 2, 3)) if enforce_approx else ((0, 2), (1, 3))
+    # the correlators read each factor's own pair in full; the audit adds the other
+    # pair's means, and the second factor's off-diagonals and second moments
+    paired, audited = ((0, 2), (1, 3)), (False, enforce_approx)
+    needed = ((0, 1, 2, 3), (0, 1, 2, 3)) if enforce_approx else paired
     for states, indices in zip(factors, needed):
-        if any(obs[i].dim != s.dim for i in indices for s in states):
+        if len({s.dim for s in states} | {obs[i].dim for i in indices}) != 1:
             raise InvalidParameter("observables must act on the factors they are paired with")
     t1, t2 = (
-        {i: element_table(states, obs[i]) for i in indices}
-        for states, indices in zip(factors, needed)
+        {i: element_table(states, obs[i], pairs=i in own or audit, second=audit) for i in indices}
+        for states, indices, own, audit in zip(factors, needed, paired, audited)
     )
-    e1, e2 = ({i: table for i, (table, _) in t.items()} for t in (t1, t2))
-    coeffs = state.coefficients
+    # Python scalars from here on: the same operations in the same order, bit for bit
+    e1, e2 = ({i: table.tolist() for i, (table, _) in t.items()} for t in (t1, t2))
+    coeffs = state.coefficients.tolist()
     exact = {(x, y): _exact_correlator(coeffs, e1[x], e2[y]) for x in (0, 2) for y in (1, 3)}
     chsh_value = abs(exact[0, 1] - exact[0, 3] + exact[2, 1] + exact[2, 3])
     condition_min = float("inf")
@@ -128,14 +131,14 @@ def bell_evaluate(
         for i in range(4):
             for n in range(len(coeffs)):
                 for table in (e1[i], e2[i]):
-                    magnitude = abs(float(table[n, n].real))
+                    magnitude = abs(table[n][n].real)
                     condition_min = min(condition_min, magnitude)
                     if magnitude < 1.0 - CONDITION_TOL:
                         raise InvalidParameter(
                             f"branch mean magnitude {magnitude:g} is below 1"
                         )
-        approx_ok = _audit_packet_conditions(t2.values())
-        weights = state.weights
+        approx_ok = _audit_packet_conditions(*zip(*t2.values()))
+        weights = state.weights.tolist()
         pair = {(x, y): _product_correlator(weights, e1[x], e2[y]) for x, y in exact}
     else:
         approx_ok = False
@@ -146,8 +149,8 @@ def bell_evaluate(
         lhs=lhs,
         rhs=rhs,
         satisfied=bool(lhs <= rhs + BOUND_TOL),
-        approx_conditions_met=bool(approx_ok),
-        chsh_value=float(chsh_value),
+        approx_conditions_met=approx_ok,
+        chsh_value=chsh_value,
         sign=sign,
         condition_min=condition_min if condition_min != float("inf") else 0.0,
     )

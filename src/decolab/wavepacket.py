@@ -237,15 +237,18 @@ def check_a1(psi: StateVector, op: OperatorMatrix, ratio_threshold: float = A1_R
     )
 
 
-def element_table(states: Sequence[StateVector], op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+def element_table(states: Sequence[StateVector], op: OperatorMatrix, pairs=True, second=True) -> tuple:
     """E[j, k] = <s_j|A|s_k> and second[n] = |A s_n|^2, applying op once per state.
 
     E[n, n].real and second[n] are the vdots expectation_and_deviation takes.
+    pairs=False computes only the diagonal of E (NaN elsewhere); second=False returns None.
     """
     applied = [op.apply(s.amplitudes) for s in states]
-    table = np.array([[np.vdot(sj.amplitudes, ak) for ak in applied] for sj in states], dtype=complex)
-    second = np.array([np.vdot(ak, ak).real for ak in applied])
-    return table, second
+    table = np.array([
+        [np.vdot(sj.amplitudes, ak) if pairs or j == k else np.nan for k, ak in enumerate(applied)]
+        for j, sj in enumerate(states)
+    ], dtype=complex)
+    return table, np.array([np.vdot(ak, ak).real for ak in applied]) if second else None
 
 
 def interference_report(table: np.ndarray, second: np.ndarray) -> InterferenceReport:
@@ -253,21 +256,24 @@ def interference_report(table: np.ndarray, second: np.ndarray) -> InterferenceRe
 
     For each pair (n, m) the mean gap |<A>_n - <A>_m| must reach (dA_n + dA_m) / 2
     and |<u_m|A|u_n>| must stay below A2_OFFDIAG_FRAC of the larger mean
-    magnitude.  Both inequalities are inclusive.
+    magnitude.  Both inequalities are inclusive.  A stack of tables (leading
+    axes on table and second) gives a stack of reports in every field.
     """
-    n = table.shape[0]
-    means = table.diagonal().real.copy()
-    devs = np.array([deviation_from_moments(means[i], second[i]) for i in range(n)])
-    gap, threshold = pair_margins(means, devs, np.s_[:, None], np.s_[None, :])
-    offdiag = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            offdiag[i, j] = offdiag[j, i] = abs(table[j, i])
-    scale = np.maximum(np.abs(means)[:, None], np.abs(means)[None, :])
-    off_ok = offdiag <= A2_OFFDIAG_FRAC * scale
-    np.fill_diagonal(off_ok, True)  # the diagonal carries no interference content
-    passes = (gap >= threshold) & off_ok
-    np.fill_diagonal(passes, True)
+    n = table.shape[-1]
+    means = table.diagonal(axis1=-2, axis2=-1).real.copy()
+    moments = zip(means.ravel().tolist(), second.ravel().tolist())
+    devs = np.array([deviation_from_moments(m, s) for m, s in moments]).reshape(means.shape)
+    gap, threshold = pair_margins(means, devs, np.s_[..., :, None], np.s_[..., None, :])
+    # scalar abs per pair: NumPy's vectorized complex abs can differ in the last bit
+    offdiag = np.zeros(table.shape)
+    for t in np.ndindex(table.shape[:-2]):
+        for i in range(n):
+            for j in range(i + 1, n):
+                offdiag[t + (i, j)] = offdiag[t + (j, i)] = abs(table[t + (j, i)])
+    scale = np.maximum(np.abs(means)[..., :, None], np.abs(means)[..., None, :])
+    diagonal = np.eye(n, dtype=bool)  # the diagonal carries no interference content
+    off_ok = (offdiag <= A2_OFFDIAG_FRAC * scale) | diagonal
+    passes = (gap >= threshold) & off_ok | diagonal
     return InterferenceReport(
         means=means,
         deviations=devs,
