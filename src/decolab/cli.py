@@ -4,11 +4,12 @@ Scenarios: sterngerlach, bell, bose, classicize, wavepacket-check.  Every
 value, the seed, --out, --formats and --paper-constants included, resolves
 one way: flag > config file > default, where an empty --out or --formats
 counts as not given.  DECOLAB_SEED, when set, is the seed's default (else
-42), and --paper-constants makes the round PAPER_ROUND values sterngerlach's
-default mass and mu-b.  Config files are flat `key = value` lines with '#'
-comments, keyed like the flags (underscores are accepted and treated as
-hyphens).  Every run writes summary.json (stable key order, no timestamps,
-no NaN or infinity, byte-reproducible under a fixed seed) plus one
+42).  Only sterngerlach takes --paper-constants, which makes the round
+PAPER_ROUND values its default mass and mu-b.  Config files are flat
+`key = value` lines with '#' comments, keyed like the flags (underscores are
+accepted as hyphens); an unknown flag or key exits 2.  Every run writes
+summary.json (stable key order, no timestamps, no NaN or infinity,
+byte-reproducible under a fixed seed) plus one
 <scenario>_<trace>.csv per trace when csv output is selected.  A trace is a
 header plus one array per column, printed through one row template per file;
 a column whose cells are all byte-equal is formatted once and written into
@@ -64,7 +65,6 @@ RUN_KEYS: dict[str, tuple[str, object]] = {
     "seed": ("int", DEFAULT_SEED),
     "out": ("path", "runs"),
     "formats": ("formats", "json,csv"),
-    "paper-constants": ("bool", False),
 }
 # Each scenario's key table, its own keys then RUN_KEYS: key -> (tag, default).
 SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
@@ -79,6 +79,7 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "t-max": ("float", 3.0e-7),
         "n-steps": ("int", 1000),
         "n-trials": ("int", 2000),
+        "paper-constants": ("bool", False),  # the one scenario with paper values
     },
     "bell": {
         "mode": ("str", "singlet"),  # singlet | audited
@@ -213,7 +214,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def parse_config(argv: list[str]) -> RunConfig:
     """Resolve a RunConfig in the one order the module docstring gives."""
-    flags = vars(_build_parser().parse_args(argv))
+    namespace, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        raise ConfigError(unknown[0], "unrecognized argument")
+    flags = vars(namespace)
     scenario, config_path = flags.pop("scenario"), flags.pop("config")
     schema = SCHEMAS[scenario]
     file_values = _read_config_file(Path(config_path)) if config_path else {}
@@ -229,10 +233,11 @@ def parse_config(argv: list[str]) -> RunConfig:
             if value is not None:
                 return value
 
-    if resolve("paper-constants") and scenario == "sterngerlach":
+    if "paper-constants" in schema and resolve("paper-constants"):
         defaults.update(PAPER_ROUND)
     params = {key: resolve(key) for key in schema}
-    return RunConfig(scenario, params, *(params.pop(key) for key in RUN_KEYS))
+    paper_constants = params.pop("paper-constants", False)  # only sterngerlach's schema has it
+    return RunConfig(scenario, params, *(params.pop(key) for key in RUN_KEYS), paper_constants)
 
 
 # ---------------------------------------------------------------------------

@@ -85,33 +85,33 @@ def test_seed_is_exact_above_two_to_the_53(monkeypatch, text, expected):
     assert parse_config(["classicize"]).seed == expected
 
 
-# Each key every scenario accepts: its value from the file, then with a flag
-# on top, and its default with neither (the seed's DECOLAB_SEED source is
-# test_seed_precedence_env_lowest).
+# Each key every scenario accepts, and sterngerlach's paper-constants: its
+# value from the file, then with a flag on top, and its default with neither
+# (the seed's DECOLAB_SEED source is test_seed_precedence_env_lowest).
 @pytest.mark.parametrize(
-    "field, line, from_file, flag, from_flag, default",
+    "scenario, field, line, from_file, flag, from_flag, default",
     [
-        ("seed", "seed = 55", 55, ["--seed", "11"], 11, 42),
-        ("output_dir", "out = file-dir", Path("file-dir"), ["--out", "flag-dir"], Path("flag-dir"), Path("runs")),
-        ("formats", "formats = csv", {"csv"}, ["--formats", "json"], {"json"}, {"json", "csv"}),
-        ("paper_constants", "paper_constants = yes", True, ["--paper-constants"], True, False),
-        ("paper_constants", "paper-constants = no", False, ["--paper-constants"], True, False),
+        ("bose", "seed", "seed = 55", 55, ["--seed", "11"], 11, 42),
+        ("bose", "output_dir", "out = file-dir", Path("file-dir"), ["--out", "flag-dir"], Path("flag-dir"), Path("runs")),
+        ("bose", "formats", "formats = csv", {"csv"}, ["--formats", "json"], {"json"}, {"json", "csv"}),
+        ("sterngerlach", "paper_constants", "paper_constants = yes", True, ["--paper-constants"], True, False),
+        ("sterngerlach", "paper_constants", "paper-constants = no", False, ["--paper-constants"], True, False),
         # an empty --out or --formats, in a flag or a file, counts as not given
-        ("output_dir", "out =", Path("runs"), ["--out="], Path("runs"), Path("runs")),
-        ("output_dir", "out = file-dir", Path("file-dir"), ["--out="], Path("file-dir"), Path("runs")),
-        ("formats", "formats =", {"json", "csv"}, ["--formats="], {"json", "csv"}, {"json", "csv"}),
+        ("bose", "output_dir", "out =", Path("runs"), ["--out="], Path("runs"), Path("runs")),
+        ("bose", "output_dir", "out = file-dir", Path("file-dir"), ["--out="], Path("file-dir"), Path("runs")),
+        ("bose", "formats", "formats =", {"json", "csv"}, ["--formats="], {"json", "csv"}, {"json", "csv"}),
     ],
     ids=["seed", "out", "formats", "paper-yes", "paper-no", "out-empty", "out-empty-flag", "formats-empty"],
 )
 def test_common_keys_flag_beats_file_beats_default(
-    tmp_path, monkeypatch, field, line, from_file, flag, from_flag, default
+    tmp_path, monkeypatch, scenario, field, line, from_file, flag, from_flag, default
 ):
     monkeypatch.delenv("DECOLAB_SEED", raising=False)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
-    assert getattr(parse_config(["bose"]), field) == default
-    assert getattr(parse_config(["bose", "--config", str(cfg)]), field) == from_file
-    assert getattr(parse_config(["bose", "--config", str(cfg), *flag]), field) == from_flag
+    assert getattr(parse_config([scenario]), field) == default
+    assert getattr(parse_config([scenario, "--config", str(cfg)]), field) == from_file
+    assert getattr(parse_config([scenario, "--config", str(cfg), *flag]), field) == from_flag
 
 
 def test_unknown_file_key_rejected(tmp_path):
@@ -185,12 +185,30 @@ def test_sterngerlach_emits_order_parameter_csv(tmp_path):
 PAPER_ARGV = ["sterngerlach", "--paper-constants", "--n-trials", "50", "--n-steps", "200"]
 
 
-def test_paper_constants_yield_to_an_explicit_value(tmp_path):
+def test_paper_constants_yield_to_an_explicit_value(tmp_path, capsys):
     _, summary = do_run(tmp_path, PAPER_ARGV + ["--mass", "1.79e-25"])
     assert summary["summary"]["constants"]["mass"] == 1.79e-25
     assert summary["summary"]["constants"]["mu_b"] == 1e-23
-    # only sterngerlach has paper values
-    assert parse_config(["bose", "--paper-constants"]).params["mass"] == 1.443e-25
+    # only sterngerlach has paper values; bose rejects the flag
+    assert main(["bose", "--paper-constants", "--out", str(tmp_path / "bose")]) == 2
+    assert capsys.readouterr().err == "error: unrecognized argument (key: --paper-constants)\n"
+    assert not (tmp_path / "bose").exists()
+
+
+@pytest.mark.parametrize("scenario", ["bell", "bose", "classicize", "wavepacket-check"])
+def test_paper_constants_belong_to_sterngerlach_only(tmp_path, capsys, scenario):
+    # the flag and the file key are both unknown elsewhere: one error line, exit 2
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("paper_constants = yes\n")
+    assert main([scenario, "--paper-constants", "--out", str(out)]) == 2
+    assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unrecognized argument (key: --paper-constants)",
+        "error: unknown configuration key (key: paper-constants)",
+    ]
+    assert not out.exists()
+    assert parse_config([scenario]).paper_constants is False
 
 
 def test_paper_constants_provenance_echoes_the_values_used(tmp_path):
