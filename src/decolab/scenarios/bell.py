@@ -12,11 +12,13 @@ evaluated exactly (no packet conditions) violates the bound up to 2 sqrt 2,
 which is the contrast this module is for.
 
 bell_evaluate builds one element_table <s_j|X|s_k> per observable and
-factor; the correlators and branch means are read from those tables, and the
-A1/A2 audit reads interference_report over the second factor's tables.
-Audited configurations place their packets on a fixed lattice of cells, so
-each cell's discretized packet is built once per process and shared,
-read-only, by every branch that sits on it.
+factor but computes only the entries it reads: each factor's own pair in
+full, and for an audit the first factor's other two means alone and the
+second factor's second moments.  The A1/A2 audit is one interference_report
+call over the second factor's four stacked tables.  Audited configurations
+place their packets on a fixed lattice of cells, so each cell's discretized
+packet is built once per process and shared, read-only, by every branch
+that sits on it.
 """
 
 from __future__ import annotations
@@ -76,17 +78,6 @@ def _product_correlator(weights: list, ex: list, ey: list) -> float:
     return total
 
 
-def _audit_packet_conditions(tables: list, seconds: list) -> bool:
-    """Sharp-packet (A1) and interference-free (A2) audit over the second basis.
-
-    One interference_report call over one element_table per observable.
-    Only A2's off-diagonal inequality is required: dichotomic branches often
-    share a mean, so A2's mean-gap test does not belong to this bound.
-    """
-    report = interference_report(np.array(tables), np.array(seconds))
-    return bool(np.all(report.passes_a1()) and np.all(report.passes_off_diagonal))
-
-
 def bell_evaluate(
     state: CorrelatedState,
     obs: tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix, OperatorMatrix],
@@ -137,7 +128,10 @@ def bell_evaluate(
                         raise InvalidParameter(
                             f"branch mean magnitude {magnitude:g} is below 1"
                         )
-        approx_ok = _audit_packet_conditions(*zip(*t2.values()))
+        # A1, and A2's off-diagonal test: dichotomic branches often share a
+        # mean, so A2's mean-gap test does not belong to this bound
+        report = interference_report(*map(np.array, zip(*t2.values())))
+        approx_ok = bool(np.all(report.passes_a1()) and np.all(report.passes_off_diagonal))
         weights = state.weights.tolist()
         pair = {(x, y): _product_correlator(weights, e1[x], e2[y]) for x, y in exact}
     else:
